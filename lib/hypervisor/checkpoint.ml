@@ -30,40 +30,18 @@ let push t =
   t.stack <- m :: t.stack;
   m
 
-let mem t m = List.exists (fun m' -> m'.m_id = m.m_id) t.stack
-
-(* Unwind to [m]: rewind (and discard) every mark opened after it,
-   innermost first, then rewind [m] itself — which stays on the
-   stack.  The inner rewinds are what pops the journal epochs the
-   inner marks opened; their per-epoch stats fold into the final
-   rewind's counters via the domain's accumulators, but the returned
-   [revert_stats] covers the whole unwind. *)
+(* One domain rewind unwinds every epoch opened after [m] as well, so
+   the marks above it just drop off the stack. *)
 let rewind t m =
-  if not (mem t m) then
-    invalid_arg "Checkpoint.rewind: mark not live";
-  let rec unwind acc = function
-    | [] -> assert false
-    | m' :: rest ->
-        let rs = Domain.rewind t.dom m'.m_cp in
-        let acc =
-          { Domain.rs_pages = acc.Domain.rs_pages + rs.Domain.rs_pages;
-            rs_ept_entries = acc.rs_ept_entries + rs.Domain.rs_ept_entries;
-            rs_vmcs_fields = acc.rs_vmcs_fields + rs.Domain.rs_vmcs_fields }
-        in
-        if m'.m_id = m.m_id then begin
-          t.stack <- m' :: rest;
-          acc
-        end
-        else begin
-          (* inner mark: its epoch has been rewound; release folds the
-             now-empty journals away so the stack depths line up *)
-          Domain.release t.dom m'.m_cp;
-          unwind acc rest
-        end
+  let rec unwind = function
+    | [] -> invalid_arg "Checkpoint.rewind: mark not live"
+    | m' :: _ as live when m'.m_id = m.m_id ->
+        let rs = Domain.rewind t.dom m.m_cp in
+        t.stack <- live;
+        rs
+    | _ :: rest -> unwind rest
   in
-  unwind
-    { Domain.rs_pages = 0; rs_ept_entries = 0; rs_vmcs_fields = 0 }
-    t.stack
+  unwind t.stack
 
 let pop t m =
   match t.stack with

@@ -8,7 +8,6 @@ type t = {
   dom : Domain.t;
   cov : Iris_coverage.Cov.t;
   hooks : Hooks.t;
-  log : string list ref;
   mutable backend : coverage_backend;
   charge : int -> unit;
 }
@@ -20,14 +19,14 @@ let create ~dom ~cov ~hooks =
      [Hooks.fire_*] call, and a fresh closure per exit would be an
      allocation on the hottest path in the model. *)
   let clock = dom.Domain.vcpu.Iris_vtx.Vcpu.clock in
-  { dom; cov; hooks; log = ref []; backend = Gcov;
+  { dom; cov; hooks; backend = Gcov;
     charge = (fun n -> Iris_vtx.Clock.advance clock n) }
 
-let log t line = t.log := line :: !(t.log)
+let log t line = t.dom.Domain.log <- line :: t.dom.Domain.log
 
 let logf t fmt = Printf.ksprintf (log t) fmt
 
-let log_lines t = List.rev !(t.log)
+let log_lines t = List.rev t.dom.Domain.log
 
 let domain_crash t reason =
   if not (Domain.crashed t.dom) then begin

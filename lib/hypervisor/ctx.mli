@@ -2,8 +2,9 @@
 
     One value of this type is "the hypervisor" for one domain: the
     domain itself, the coverage store (the gcov build), the IRIS hook
-    set (the patch points), and a log ring the fuzzer's failure triage
-    greps, as the paper does with Xen's console log. *)
+    set (the patch points).  The console log, which failure triage
+    greps as the paper does with Xen's, lives in the domain
+    ({!Domain.t.log}). *)
 
 exception Hypervisor_panic of string
 (** A BUG()/panic path was reached: the whole hypervisor (and every
@@ -22,7 +23,6 @@ type t = {
   dom : Domain.t;
   cov : Iris_coverage.Cov.t;
   hooks : Hooks.t;
-  log : string list ref;  (** newest first *)
   mutable backend : coverage_backend;
   charge : int -> unit;
       (** advance this domain's virtual clock by [n] cycles; built
@@ -36,6 +36,10 @@ val gcov_probe_cycles : int
 (** Cost of one gcov counter update in the instrumented build. *)
 
 val log : t -> string -> unit
+(** Append to the domain's console log ({!Domain.t.log}), which
+    {!Domain.revert} and {!Domain.rewind} restore with the rest of the
+    domain state. *)
+
 val logf : t -> ('a, unit, string, unit) format4 -> 'a
 val log_lines : t -> string list
 (** Oldest first. *)

@@ -22,6 +22,7 @@ type t = {
   mutable pending_insn : Iris_x86.Insn.t option;
   mutable blocked : bool;
   bar_regs : int64 array;
+  mutable log : string list;
   stats : stats;
 }
 
@@ -81,6 +82,7 @@ let create ?(dummy = false) ~cov ~id ~name ~mem_mib () =
     pending_insn = None;
     blocked = false;
     bar_regs = Array.make 16 0L;
+    log = [];
     stats =
       { full_reverts = 0;
         cow_reverts = 0;
@@ -99,83 +101,90 @@ let crash t reason =
 
 let crashed t = t.crashed <> None
 
+(* Everything outside the journaled stores (memory, EPT, VMCS): the
+   platform devices, the vLAPIC and vPT, the domain flags, the BAR
+   registers and the log head.  A few hundred fixed bytes (plus the
+   UART transmit log), captured eagerly by both [snapshot] and
+   [checkpoint]. *)
+type platform = {
+  p_pic : Iris_devices.Pic.t;
+  p_pit : Iris_devices.Pit.t;
+  p_uart : Iris_devices.Uart.t;
+  p_rtc : Iris_devices.Rtc.t;
+  p_pci : Iris_devices.Pci.t;
+  p_vlapic : Vlapic.t;
+  p_vpt : Vpt.t;
+  p_crashed : string option;
+  p_guest_mode : Iris_x86.Cpu_mode.t;
+  p_blocked : bool;
+  p_bar_regs : int64 array;
+  p_log : string list;
+}
+
+let capture t =
+  { p_pic = Iris_devices.Pic.copy t.pic;
+    p_pit = Iris_devices.Pit.copy t.pit;
+    p_uart = Iris_devices.Uart.copy t.uart;
+    p_rtc = Iris_devices.Rtc.copy t.rtc;
+    p_pci = Iris_devices.Pci.copy t.pci;
+    p_vlapic = Vlapic.copy t.vlapic;
+    p_vpt = Vpt.copy t.vpt;
+    p_crashed = t.crashed;
+    p_guest_mode = t.guest_mode;
+    p_blocked = t.blocked;
+    p_bar_regs = Array.copy t.bar_regs;
+    p_log = t.log }
+
+(* The bus handlers and the engine close over the device/memory
+   records, so restoring mutates the existing records in place
+   (transplant) rather than swapping them. *)
+let restore t p =
+  Iris_devices.Pic.transplant ~into:t.pic ~from:p.p_pic;
+  Iris_devices.Pit.transplant ~into:t.pit ~from:p.p_pit;
+  Iris_devices.Uart.transplant ~into:t.uart ~from:p.p_uart;
+  Iris_devices.Rtc.transplant ~into:t.rtc ~from:p.p_rtc;
+  Iris_devices.Pci.transplant ~into:t.pci ~from:p.p_pci;
+  Vlapic.restore t.vlapic ~from:p.p_vlapic;
+  Vpt.restore t.vpt ~from:p.p_vpt;
+  t.crashed <- p.p_crashed;
+  t.guest_mode <- p.p_guest_mode;
+  t.pending_insn <- None;
+  t.blocked <- p.p_blocked;
+  Array.blit p.p_bar_regs 0 t.bar_regs 0 (Array.length t.bar_regs);
+  t.log <- p.p_log
+
 type snapshot = {
   s_vcpu : Iris_vtx.Vcpu.t;
   s_mem : Gmem.t;
   s_ept : Ept.t;
-  s_pic : Iris_devices.Pic.t;
-  s_pit : Iris_devices.Pit.t;
-  s_uart : Iris_devices.Uart.t;
-  s_rtc : Iris_devices.Rtc.t;
-  s_pci : Iris_devices.Pci.t;
-  s_vlapic : Vlapic.t;
-  s_vpt : Vpt.t;
-  s_crashed : string option;
-  s_guest_mode : Iris_x86.Cpu_mode.t;
-  s_blocked : bool;
-  s_bar_regs : int64 array;
+  s_platform : platform;
 }
 
 let snapshot t =
   { s_vcpu = Iris_vtx.Vcpu.snapshot t.vcpu;
     s_mem = Gmem.copy t.mem;
     s_ept = Ept.copy t.ept;
-    s_pic = Iris_devices.Pic.copy t.pic;
-    s_pit = Iris_devices.Pit.copy t.pit;
-    s_uart = Iris_devices.Uart.copy t.uart;
-    s_rtc = Iris_devices.Rtc.copy t.rtc;
-    s_pci = Iris_devices.Pci.copy t.pci;
-    s_vlapic = Vlapic.copy t.vlapic;
-    s_vpt = Vpt.copy t.vpt;
-    s_crashed = t.crashed;
-    s_guest_mode = t.guest_mode;
-    s_blocked = t.blocked;
-    s_bar_regs = Array.copy t.bar_regs }
+    s_platform = capture t }
 
-(* The bus handlers and the engine close over the device/memory
-   records, so restoring mutates the existing records in place
-   (transplant) rather than swapping them. *)
 let revert t s =
   t.stats.full_reverts <- t.stats.full_reverts + 1;
   Iris_vtx.Vcpu.restore t.vcpu ~from:s.s_vcpu;
   Gmem.transplant ~into:t.mem ~from:s.s_mem;
   Ept.transplant ~into:t.ept ~from:s.s_ept;
-  Iris_devices.Pic.transplant ~into:t.pic ~from:s.s_pic;
-  Iris_devices.Pit.transplant ~into:t.pit ~from:s.s_pit;
-  Iris_devices.Uart.transplant ~into:t.uart ~from:s.s_uart;
-  Iris_devices.Rtc.transplant ~into:t.rtc ~from:s.s_rtc;
-  Iris_devices.Pci.transplant ~into:t.pci ~from:s.s_pci;
-  Vlapic.restore t.vlapic ~from:s.s_vlapic;
-  Vpt.restore t.vpt ~from:s.s_vpt;
-  t.crashed <- s.s_crashed;
-  t.guest_mode <- s.s_guest_mode;
-  t.pending_insn <- None;
-  t.blocked <- s.s_blocked;
-  Array.blit s.s_bar_regs 0 t.bar_regs 0 (Array.length t.bar_regs)
+  restore t s.s_platform
 
 (* --- incremental (copy-on-write) checkpoints ---
 
    Guest memory, the EPT and the VMCS — the bulk of a snapshot — are
    checkpointed through their write journals, so a rewind touches only
-   what the epoch dirtied.  The platform devices and vCPU scalars are
-   a few hundred fixed bytes and are captured eagerly, exactly as the
-   full snapshot does. *)
+   what the epoch dirtied.  The vCPU scalars and the platform are
+   captured eagerly, exactly as the full snapshot does. *)
 
 type checkpoint = {
   k_vcpu : Iris_vtx.Vcpu.checkpoint;
   k_mem : Gmem.checkpoint;
   k_ept : Ept.checkpoint;
-  k_pic : Iris_devices.Pic.t;
-  k_pit : Iris_devices.Pit.t;
-  k_uart : Iris_devices.Uart.t;
-  k_rtc : Iris_devices.Rtc.t;
-  k_pci : Iris_devices.Pci.t;
-  k_vlapic : Vlapic.t;
-  k_vpt : Vpt.t;
-  k_crashed : string option;
-  k_guest_mode : Iris_x86.Cpu_mode.t;
-  k_blocked : bool;
-  k_bar_regs : int64 array;
+  k_platform : platform;
 }
 
 let checkpoint t =
@@ -183,17 +192,7 @@ let checkpoint t =
   { k_vcpu = Iris_vtx.Vcpu.checkpoint t.vcpu;
     k_mem = Gmem.checkpoint t.mem;
     k_ept = Ept.checkpoint t.ept;
-    k_pic = Iris_devices.Pic.copy t.pic;
-    k_pit = Iris_devices.Pit.copy t.pit;
-    k_uart = Iris_devices.Uart.copy t.uart;
-    k_rtc = Iris_devices.Rtc.copy t.rtc;
-    k_pci = Iris_devices.Pci.copy t.pci;
-    k_vlapic = Vlapic.copy t.vlapic;
-    k_vpt = Vpt.copy t.vpt;
-    k_crashed = t.crashed;
-    k_guest_mode = t.guest_mode;
-    k_blocked = t.blocked;
-    k_bar_regs = Array.copy t.bar_regs }
+    k_platform = capture t }
 
 type revert_stats = {
   rs_pages : int;
@@ -205,18 +204,7 @@ let rewind t k =
   let rs_vmcs_fields = Iris_vtx.Vcpu.rewind t.vcpu k.k_vcpu in
   let rs_pages = Gmem.rewind t.mem k.k_mem in
   let rs_ept_entries = Ept.rewind t.ept k.k_ept in
-  Iris_devices.Pic.transplant ~into:t.pic ~from:k.k_pic;
-  Iris_devices.Pit.transplant ~into:t.pit ~from:k.k_pit;
-  Iris_devices.Uart.transplant ~into:t.uart ~from:k.k_uart;
-  Iris_devices.Rtc.transplant ~into:t.rtc ~from:k.k_rtc;
-  Iris_devices.Pci.transplant ~into:t.pci ~from:k.k_pci;
-  Vlapic.restore t.vlapic ~from:k.k_vlapic;
-  Vpt.restore t.vpt ~from:k.k_vpt;
-  t.crashed <- k.k_crashed;
-  t.guest_mode <- k.k_guest_mode;
-  t.pending_insn <- None;
-  t.blocked <- k.k_blocked;
-  Array.blit k.k_bar_regs 0 t.bar_regs 0 (Array.length t.bar_regs);
+  restore t k.k_platform;
   t.stats.cow_reverts <- t.stats.cow_reverts + 1;
   t.stats.pages_restored <- t.stats.pages_restored + rs_pages;
   t.stats.ept_restored <- t.stats.ept_restored + rs_ept_entries;

@@ -37,6 +37,11 @@ type t = {
   bar_regs : int64 array;
       (** register file of the synthetic PCI device behind
           {!mmio_bar_base} (16 dwords) *)
+  mutable log : string list;
+      (** the hypervisor console log for this domain, newest first
+          (see {!Ctx.log}); part of the captured state, so a revert or
+          rewind restores the head and the log stays bounded across
+          fuzz cases *)
   stats : stats;  (** snapshot/revert accounting (COW effectiveness) *)
 }
 
@@ -68,7 +73,7 @@ type snapshot
 
 val snapshot : t -> snapshot
 (** Capture the complete domain state (vCPU, VMCS, memory, EPT,
-    devices, vlapic, vpt, flags). *)
+    devices, vlapic, vpt, flags, log head). *)
 
 val revert : t -> snapshot -> unit
 
@@ -78,11 +83,12 @@ val snapshot_stats : t -> stats
 (** {2 Incremental (copy-on-write) checkpoints}
 
     Guest memory, the EPT and the VMCS — the bulk of a snapshot — are
-    checkpointed through their write journals, so {!rewind} restores
-    only what the epoch dirtied.  The platform devices and vCPU
-    scalars are a few hundred fixed bytes and are captured eagerly.
-    Checkpoints nest (see {!Checkpoint} for the mark-based manager);
-    a full {!revert} invalidates any open checkpoints. *)
+    checkpointed through their write journals ({!Iris_util.Journal}),
+    so {!rewind} restores only what the epoch dirtied.  The platform
+    devices and vCPU scalars are a few hundred fixed bytes and are
+    captured eagerly, as {!snapshot} does.  Checkpoints nest (see
+    {!Checkpoint} for the mark-based manager); a full {!revert}
+    invalidates any open checkpoints. *)
 
 type checkpoint
 
@@ -96,9 +102,11 @@ type revert_stats = {
 
 val rewind : t -> checkpoint -> revert_stats
 (** Restore the domain to the state captured at [checkpoint], undoing
-    only journaled writes.  The checkpoint stays live and can be
-    rewound to again.  Observably identical to [revert] with a full
-    snapshot taken at the same point. *)
+    only journaled writes.  Checkpoints opened after it are discarded
+    in the same call (every journal unwinds its inner epochs); the
+    returned stats cover all of them.  The checkpoint stays live and
+    can be rewound to again.  Observably identical to [revert] with a
+    full snapshot taken at the same point. *)
 
 val release : t -> checkpoint -> unit
 (** Drop the innermost checkpoint without restoring, folding its

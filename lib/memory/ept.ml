@@ -15,27 +15,26 @@ let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
    O(guest pages) — the fuzzer reverts between every mutation. *)
 type override = Mapped of perm | Hole
 
-(* One copy-on-write epoch: the prior binding of every override the
-   epoch touched ([None] = absent), plus the range list as it stood
-   when the epoch opened (ranges are immutable lists, so saving the
-   head pointer is enough). *)
-type journal = {
-  e_overrides : (int64, override option) Hashtbl.t;
-  e_ranges : (int64 * int64 * perm) list;
-}
+module J = Iris_util.Journal
 
 type t = {
   mutable ranges : (int64 * int64 * perm) list;
       (** (first_pfn, last_pfn, perm), newest first *)
   overrides : (int64, override) Hashtbl.t;
-  mutable journals : journal list;  (** innermost epoch first *)
+  journal : (override option, (int64 * int64 * perm) list) J.t;
+      (** pfn -> binding before the epoch's first change ([None] =
+          absent); the epoch scalar is the range list at its opening
+          (ranges are immutable lists, so the head pointer is enough) *)
 }
 
 let page_shift = 12
 
 let pfn gpa = Int64.shift_right_logical gpa page_shift
 
-let create () = { ranges = []; overrides = Hashtbl.create 64; journals = [] }
+let fresh_journal () = J.create ~name:"Ept"
+
+let create () =
+  { ranges = []; overrides = Hashtbl.create 64; journal = fresh_journal () }
 
 (* Ranges bigger than this are kept as ranges; smaller ones become
    per-page overrides. *)
@@ -46,11 +45,9 @@ let span ~gpa ~len =
   (pfn gpa, pfn (Int64.add gpa (Int64.sub len 1L)))
 
 let journal_override t p =
-  match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      if not (Hashtbl.mem j.e_overrides p) then
-        Hashtbl.add j.e_overrides p (Hashtbl.find_opt t.overrides p)
+  let key = Int64.to_int p in
+  if not (J.noted t.journal key) then
+    J.note t.journal key (Hashtbl.find_opt t.overrides p)
 
 let map t ~gpa ~len perm =
   let first, last = span ~gpa ~len in
@@ -125,13 +122,14 @@ let qualification v =
   Int64.logor 0x80L (Int64.logor acc_bits perm_bits)
 
 let copy t =
-  { ranges = t.ranges; overrides = Hashtbl.copy t.overrides; journals = [] }
+  { ranges = t.ranges; overrides = Hashtbl.copy t.overrides;
+    journal = fresh_journal () }
 
 let transplant ~into ~from =
   into.ranges <- from.ranges;
   Hashtbl.reset into.overrides;
   Hashtbl.iter (fun p e -> Hashtbl.replace into.overrides p e) from.overrides;
-  into.journals <- []
+  J.reset into.journal
 
 let mapped_pages t =
   let range_pages =
@@ -163,55 +161,17 @@ let dump t =
 
 type checkpoint = int
 
-let checkpoint t =
-  t.journals <-
-    { e_overrides = Hashtbl.create 8; e_ranges = t.ranges } :: t.journals;
-  List.length t.journals
-
-let checkpoint_depth t = List.length t.journals
-
-let dirty_entries t =
-  match t.journals with [] -> 0 | j :: _ -> Hashtbl.length j.e_overrides
-
-let apply_journal t j =
-  Hashtbl.iter
-    (fun p old ->
-      match old with
-      | Some e -> Hashtbl.replace t.overrides p e
-      | None -> Hashtbl.remove t.overrides p)
-    j.e_overrides;
-  t.ranges <- j.e_ranges;
-  Hashtbl.length j.e_overrides
+let checkpoint t = J.checkpoint t.journal t.ranges
 
 let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Ept.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          Hashtbl.reset j.e_overrides;
-          t.journals <- js
-        end
-        else undo rest
+  let restored =
+    J.rewind t.journal cp ~restore:(fun p old ->
+        let p = Int64.of_int p in
+        match old with
+        | Some e -> Hashtbl.replace t.overrides p e
+        | None -> Hashtbl.remove t.overrides p)
   in
-  undo t.journals;
-  !restored
+  t.ranges <- J.scalar t.journal cp;
+  restored
 
-let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Ept.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          Hashtbl.iter
-            (fun p old ->
-              if not (Hashtbl.mem parent.e_overrides p) then
-                Hashtbl.add parent.e_overrides p old)
-            j.e_overrides);
-      t.journals <- rest
+let commit t cp = J.commit t.journal cp

@@ -65,10 +65,11 @@ val dump : t -> (int64 * int64 * perm) list * (int64 * perm option) list
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    Mirrors {!Gmem}: a checkpoint journals the prior binding of every
-    override that [map]/[unmap] touch (plus the immutable range-list
-    head), so {!rewind} undoes only what changed.  Checkpoints nest;
-    {!transplant} invalidates them. *)
+    An {!Iris_util.Journal} keyed by pfn, as in {!Gmem}: a checkpoint
+    journals the prior binding of every override that [map]/[unmap]
+    touch (plus the immutable range-list head), so {!rewind} undoes
+    only what changed.  Checkpoints nest; {!transplant} invalidates
+    them. *)
 
 type checkpoint
 
@@ -82,8 +83,3 @@ val rewind : t -> checkpoint -> int
 val commit : t -> checkpoint -> unit
 (** Drop the innermost checkpoint, folding its journal into the
     parent. *)
-
-val checkpoint_depth : t -> int
-
-val dirty_entries : t -> int
-(** Override entries dirtied so far in the innermost open epoch. *)

@@ -2,28 +2,23 @@ let page_size = 4096
 
 exception Bad_address of int64
 
-(* One copy-on-write epoch: the prior contents of every page dirtied
-   since the checkpoint that opened the epoch.  [None] records that
-   the page was unallocated (logically zero) when the epoch began. *)
-type journal = (int64, bytes option) Hashtbl.t
+module J = Iris_util.Journal
 
 type t = {
   size : int64;
   pages : (int64, bytes) Hashtbl.t;
-  mutable journals : journal list;  (** innermost epoch first *)
-  mutable hot_pfn : int64;
-      (** last pfn journaled in the innermost epoch; caches the
-          journal membership test across the byte-wise write loop *)
+  journal : (bytes option, unit) J.t;
+      (** pfn -> page contents before the epoch's first write; [None]
+          when the page was unallocated (logically zero) *)
 }
 
-let no_hot = -1L
+let fresh_journal () = J.create ~name:"Gmem"
 
 let create ~size_mib =
   assert (size_mib > 0);
   { size = Int64.mul (Int64.of_int size_mib) 0x100000L;
     pages = Hashtbl.create 256;
-    journals = [];
-    hot_pfn = no_hot }
+    journal = fresh_journal () }
 
 let size_bytes t = t.size
 
@@ -53,20 +48,12 @@ let read_u8 t addr =
       Char.code
         (Bytes.get page (Int64.to_int (Int64.rem addr (Int64.of_int page_size))))
 
-let journal_page t pfn =
-  match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      if pfn <> t.hot_pfn then begin
-        t.hot_pfn <- pfn;
-        if not (Hashtbl.mem j pfn) then
-          Hashtbl.add j pfn
-            (Option.map Bytes.copy (Hashtbl.find_opt t.pages pfn))
-      end
-
 let write_u8 t addr v =
   check t addr;
-  journal_page t (pfn_of addr);
+  let pfn = pfn_of addr in
+  let key = Int64.to_int pfn in
+  if not (J.noted t.journal key) then
+    J.note t.journal key (Option.map Bytes.copy (Hashtbl.find_opt t.pages pfn));
   let page = page_of t addr in
   Bytes.set page
     (Int64.to_int (Int64.rem addr (Int64.of_int page_size)))
@@ -116,19 +103,17 @@ let clone_page_into pages pfn p =
 let copy t =
   let pages = Hashtbl.create (max 16 (Hashtbl.length t.pages)) in
   Hashtbl.iter (clone_page_into pages) t.pages;
-  { size = t.size; pages; journals = []; hot_pfn = no_hot }
+  { size = t.size; pages; journal = fresh_journal () }
 
 let clear t =
   Hashtbl.reset t.pages;
-  t.journals <- [];
-  t.hot_pfn <- no_hot
+  J.reset t.journal
 
 let transplant ~into ~from =
   assert (into.size = from.size);
   Hashtbl.reset into.pages;
   Hashtbl.iter (clone_page_into into.pages) from.pages;
-  into.journals <- [];
-  into.hot_pfn <- no_hot
+  J.reset into.journal
 
 let allocated_pages t = Hashtbl.length t.pages
 
@@ -149,62 +134,20 @@ let equal a b =
 
 type checkpoint = int
 
-let checkpoint t =
-  t.journals <- Hashtbl.create 16 :: t.journals;
-  t.hot_pfn <- no_hot;
-  List.length t.journals
+let checkpoint t = J.checkpoint t.journal ()
 
-let checkpoint_depth t = List.length t.journals
+let checkpoint_depth t = J.depth t.journal
 
-let dirty_pages t =
-  match t.journals with [] -> 0 | j :: _ -> Hashtbl.length j
+let dirty_pages t = J.dirty t.journal
 
-(* Restore every page the journal covers.  Saved buffers are installed
-   directly (ownership transfers out of the journal); all-zero pages
-   go back to being absent, matching the canonical form [transplant]
-   produces. *)
-let apply_journal t j =
-  Hashtbl.iter
-    (fun pfn old ->
+(* Saved buffers are installed directly (ownership transfers out of
+   the journal); all-zero pages go back to being absent, matching the
+   canonical form [transplant] produces. *)
+let rewind t cp =
+  J.rewind t.journal cp ~restore:(fun pfn old ->
+      let pfn = Int64.of_int pfn in
       match old with
       | Some p when not (is_zero_page p) -> Hashtbl.replace t.pages pfn p
       | Some _ | None -> Hashtbl.remove t.pages pfn)
-    j;
-  Hashtbl.length j
 
-let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Gmem.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          Hashtbl.reset j;
-          t.journals <- js
-        end
-        else undo rest
-  in
-  undo t.journals;
-  t.hot_pfn <- no_hot;
-  !restored
-
-let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Gmem.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          (* A page untouched by the parent epoch had the same contents
-             at both checkpoints, so the child's saved copy is the
-             parent's too. *)
-          Hashtbl.iter
-            (fun pfn old ->
-              if not (Hashtbl.mem parent pfn) then Hashtbl.add parent pfn old)
-            j);
-      t.journals <- rest;
-      t.hot_pfn <- no_hot
+let commit t cp = J.commit t.journal cp

@@ -116,7 +116,11 @@ let of_json j =
     | Some s -> require "workload" (W.of_name s)
     | None -> Error "jobspec: missing or bad \"workload\""
   in
-  let* exits = require "exits" (int "exits") in
+  let positive what v =
+    if v > 0 then Ok v
+    else Error (Printf.sprintf "jobspec: %S must be positive" what)
+  in
+  let* exits = Result.bind (require "exits" (int "exits")) (positive "exits") in
   let* reason =
     match J.member "reason" j with
     | Some (J.Int code) -> require "reason" (R.of_code code)
@@ -128,11 +132,19 @@ let of_json j =
     | Some s -> require "area" (area_of_string s)
     | None -> Error "jobspec: missing or bad \"area\""
   in
-  let* mutations = require "mutations" (int "mutations") in
+  let* mutations =
+    Result.bind (require "mutations" (int "mutations")) (positive "mutations")
+  in
   let* prng_seed = require "prng_seed" (int "prng_seed") in
   let tenant = Option.value (str "tenant") ~default:"default" in
   let priority = Option.value (int "priority") ~default:1 in
-  let boot_scale = Option.value (num "boot_scale") ~default:0.05 in
+  let* boot_scale =
+    match num "boot_scale" with
+    | None -> Ok 0.05
+    | Some b when Float.is_finite b && b > 0.0 -> Ok b
+    | Some _ ->
+        Error "jobspec: \"boot_scale\" must be a positive finite number"
+  in
   let timeout_cycles = Option.map Int64.of_int (int "timeout_cycles") in
   Ok
     (make ~tenant ~priority ~boot_scale ?timeout_cycles ~workload ~exits

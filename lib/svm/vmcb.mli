@@ -50,9 +50,9 @@ val write : t -> field -> int64 -> unit
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    Same write-journal machinery as [Iris_vmcs.Vmcs]: a checkpoint
-    records the prior value of each field the epoch writes, so
-    {!rewind} restores only what changed.  Checkpoints nest. *)
+    An {!Iris_util.Journal} keyed by field: a checkpoint records the
+    prior value of each field the epoch writes, so {!rewind} restores
+    only what changed.  Checkpoints nest. *)
 
 type checkpoint
 
@@ -66,11 +66,6 @@ val rewind : t -> checkpoint -> int
 val commit : t -> checkpoint -> unit
 (** Drop the innermost checkpoint, folding its journal into the
     parent. *)
-
-val checkpoint_depth : t -> int
-
-val journaled_fields : t -> int
-(** Fields dirtied so far in the innermost open epoch. *)
 
 val nonzero_fields : t -> (field * int64) list
 val pp : Format.formatter -> t -> unit

@@ -61,8 +61,9 @@ val restore_from : t -> src:t -> unit
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    A checkpoint opens a VMWRITE journal: the first write to each
-    field saves its prior value, so {!rewind} undoes only the fields
+    A checkpoint opens a VMWRITE epoch in an {!Iris_util.Journal}
+    keyed by compact field index: the first write to each field saves
+    its prior value, so {!rewind} undoes only the fields
     the epoch actually touched — the kAFL/Nyx snapshot-reset trick
     applied to the VMCS.  Checkpoints nest (LIFO); {!restore_from},
     the full-restore path, invalidates all of them. *)
@@ -81,11 +82,6 @@ val rewind : t -> checkpoint -> int
 val commit : t -> checkpoint -> unit
 (** Drop the innermost checkpoint, folding its journal into the
     parent epoch. *)
-
-val checkpoint_depth : t -> int
-
-val journaled_fields : t -> int
-(** Fields dirtied so far in the innermost open epoch. *)
 
 val equal_area : t -> t -> Field.area -> bool
 (** Field-wise equality over one area. *)

@@ -286,6 +286,39 @@ let test_jobspec_key_content_derived () =
   Alcotest.(check bool) "distinct specs differ" false
     (Jobspec.key spec_a = Jobspec.key spec_b)
 
+(* Out-of-range numbers are rejected at the wire, naming the field,
+   instead of running a job that cannot be counted ([exits] <= 0 ends
+   [no-seed] with total -1) or that "completes" having done nothing. *)
+let test_jobspec_rejects_out_of_range () =
+  let with_field k v =
+    match Jobspec.to_json spec_a with
+    | J.Obj fields ->
+        J.Obj ((k, v) :: List.filter (fun (k', _) -> k' <> k) fields)
+    | _ -> assert false
+  in
+  let positive k = Printf.sprintf "jobspec: %S must be positive" k in
+  let scale = "jobspec: \"boot_scale\" must be a positive finite number" in
+  List.iter
+    (fun (k, v, want) ->
+      check
+        Alcotest.(result string string)
+        (Printf.sprintf "%s = %s" k (J.to_string v))
+        (Error want)
+        (Result.map Jobspec.key (Jobspec.of_json (with_field k v))))
+    [ ("exits", J.Int (-3), positive "exits");
+      ("exits", J.Int 0, positive "exits");
+      ("mutations", J.Int (-10), positive "mutations");
+      ("mutations", J.Int 0, positive "mutations");
+      ("boot_scale", J.Float (-1.0), scale);
+      ("boot_scale", J.Float 0.0, scale);
+      ("boot_scale", J.Float Float.infinity, scale);
+      ("boot_scale", J.Float Float.nan, scale) ];
+  match Jobspec.of_json (Jobspec.to_json spec_a) with
+  | Ok s ->
+      check Alcotest.string "valid spec still parses" (Jobspec.key spec_a)
+        (Jobspec.key s)
+  | Error e -> Alcotest.failf "valid spec rejected: %s" e
+
 let test_status_line_shape () =
   let reg = Registry.create () in
   Registry.incr (Registry.counter reg "service.rounds");
@@ -443,8 +476,9 @@ let () =
         [ Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "spec keys content-derived" `Quick
             test_jobspec_key_content_derived;
-          Alcotest.test_case "status line shape" `Quick test_status_line_shape
-        ] );
+          Alcotest.test_case "status line shape" `Quick test_status_line_shape;
+          Alcotest.test_case "out-of-range specs rejected" `Quick
+            test_jobspec_rejects_out_of_range ] );
       ( "server",
         [ Alcotest.test_case "report schedule-independent" `Slow
             test_server_report_schedule_independent;

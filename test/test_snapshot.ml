@@ -378,6 +378,129 @@ let test_cow_stats_accounting () =
       check Alcotest.bool "journaled work was measured" true
         (st.Domain.vmcs_fields_restored > before.Domain.vmcs_fields_restored)
 
+(* --- nested marks: one rewind across inner marks ---
+
+   The target mark T sits at S_R; two more marks open above it, and
+   every epoch (T's, then each inner mark's) writes guest memory, the
+   EPT, the VMCS and the UART.  A single [Checkpoint.rewind] to T must
+   land exactly where a full snapshot taken at T puts the domain, and
+   its stats must be the sum of what each unwound epoch dirtied. *)
+
+let dom_canon dom =
+  digest
+    ( Gmem.nonzero_pages dom.Domain.mem,
+      Ept.dump dom.Domain.ept,
+      Vmcs.nonzero_fields dom.Domain.vcpu.Iris_vtx.Vcpu.vmcs,
+      Vmcs.state dom.Domain.vcpu.Iris_vtx.Vcpu.vmcs,
+      Iris_devices.Uart.transmitted dom.Domain.uart,
+      dom.Domain.log )
+
+let test_nested_marks_single_rewind () =
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  let replayer =
+    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
+  in
+  let dom = (Replayer.ctx replayer).Ctx.dom in
+  let cps = Checkpoint.start dom in
+  let target = Checkpoint.push cps in
+  let at_target = Domain.snapshot dom in
+  let writable =
+    Array.of_list
+      (List.filter (fun f -> not (F.readonly f)) (Array.to_list F.all))
+  in
+  (* Epoch [e] dirties pages, EPT entries and VMCS fields [e] and
+     [e + 1], so neighbouring epochs overlap in one key each: two keys
+     per store per epoch. *)
+  let write_epoch e =
+    for k = e to e + 1 do
+      Gmem.write dom.Domain.mem
+        (Int64.of_int ((0x200 + k) * Gmem.page_size))
+        ~width:8 (Int64.of_int (0x1000 + (16 * e) + k));
+      Ept.unmap dom.Domain.ept
+        ~gpa:(Int64.of_int ((0x300 + k) * Gmem.page_size))
+        ~len:4096L;
+      (match
+         Vmcs.write dom.Domain.vcpu.Iris_vtx.Vcpu.vmcs writable.(k)
+           (Int64.of_int (0x40 + (16 * e) + k))
+       with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "writable field")
+    done;
+    Iris_devices.Port_bus.write dom.Domain.bus ~port:0x3F8 ~size:1
+      (Int64.of_int (Char.code 'a' + e));
+    Ctx.log (Replayer.ctx replayer) (Printf.sprintf "epoch %d" e);
+    check Alcotest.int "two pages per epoch" 2 (Gmem.dirty_pages dom.Domain.mem)
+  in
+  write_epoch 0;
+  let inner1 = Checkpoint.push cps in
+  write_epoch 1;
+  let inner2 = Checkpoint.push cps in
+  write_epoch 2;
+  check Alcotest.int "three marks live" 3 (Checkpoint.depth cps);
+  check Alcotest.bool "the UART took one byte per epoch" true
+    (String.ends_with ~suffix:"abc"
+       (Iris_devices.Uart.transmitted dom.Domain.uart));
+  let stats0 = Domain.snapshot_stats dom in
+  let rs = Checkpoint.rewind cps target in
+  let rewound = dom_canon dom in
+  check Alcotest.int "one domain rewind" 1
+    ((Domain.snapshot_stats dom).Domain.cow_reverts - stats0.Domain.cow_reverts);
+  check Alcotest.(list int) "stats = sum over the three unwound epochs"
+    [ 6; 6; 6 ]
+    [ rs.Domain.rs_pages; rs.Domain.rs_ept_entries; rs.Domain.rs_vmcs_fields ];
+  check Alcotest.int "target stays live, inner marks dropped" 1
+    (Checkpoint.depth cps);
+  List.iter
+    (fun dead ->
+      Alcotest.check_raises "inner mark is dead"
+        (Invalid_argument "Checkpoint.rewind: mark not live") (fun () ->
+          ignore (Checkpoint.rewind cps dead : Domain.revert_stats)))
+    [ inner1; inner2 ];
+  (* The target epoch is empty again: it can take writes and be
+     rewound to once more. *)
+  write_epoch 3;
+  let rs' = Checkpoint.rewind cps target in
+  check Alcotest.int "re-rewind restores only the new epoch" 2
+    rs'.Domain.rs_pages;
+  check Alcotest.string "re-rewind lands on the same state" rewound
+    (dom_canon dom);
+  Checkpoint.pop cps target;
+  Domain.revert dom at_target;
+  check Alcotest.string "rewind to T = revert to a snapshot taken at T"
+    (dom_canon dom) rewound
+
+(* The hypervisor log is domain state: cases that log (a VM crash logs
+   through [domain_crash]) leave no lines behind once rewound. *)
+let test_log_rewound_with_anchor () =
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  let trace = recording.Manager.trace in
+  match
+    Campaign.plan ~config:(config 120) ~trace ~reason:R.Rdtsc
+      ~area:Mutation.Area_vmcs
+  with
+  | None -> Alcotest.fail "rdtsc seeds exist"
+  | Some plan ->
+      let replayer =
+        Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
+      in
+      let anchor =
+        Campaign.anchor ~replayer ~trace
+          ~seed_index:plan.Campaign.plan_target.Seed.index ()
+      in
+      let ctx = Replayer.ctx replayer in
+      let at_anchor = List.length (Ctx.log_lines ctx) in
+      let crashed = ref 0 in
+      for i = 0 to Campaign.case_count plan - 1 do
+        let raw = Campaign.execute_case ~replayer ~anchor (Campaign.case plan i) in
+        if raw.Campaign.raw_failure = Campaign.Vm_crash then incr crashed
+      done;
+      check Alcotest.bool "some cases crashed the VM (and logged)" true
+        (!crashed > 0);
+      check Alcotest.int "log length back at the anchor's" at_anchor
+        (List.length (Ctx.log_lines ctx))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -399,4 +522,8 @@ let () =
           Alcotest.test_case "guided modes identical" `Slow
             test_guided_modes_byte_identical;
           Alcotest.test_case "cow stats accounting" `Slow
-            test_cow_stats_accounting ] ) ]
+            test_cow_stats_accounting;
+          Alcotest.test_case "nested marks, one rewind" `Slow
+            test_nested_marks_single_rewind;
+          Alcotest.test_case "log rewound with the anchor" `Slow
+            test_log_rewound_with_anchor ] ) ]

@@ -5,6 +5,7 @@ module Prng = Iris_util.Prng
 module Bits = Iris_util.Bits
 module Codec = Iris_util.Codec
 module Stats = Iris_util.Stats
+module Journal = Iris_util.Journal
 
 let check = Alcotest.check
 
@@ -279,6 +280,78 @@ let prop_stats_percentile_bounds =
       let mx = Array.fold_left Float.max neg_infinity arr in
       v >= mn -. 1e-9 && v <= mx +. 1e-9)
 
+(* --- journal: the undo-log counts the stores report ---
+
+   The store oracles in test_snapshot check restored contents; these
+   pin the counts, which contents alone cannot show (a duplicate
+   pre-image undone newest-first still restores the right value). *)
+
+let test_journal_commit_folds () =
+  let store = Array.make 8 0 in
+  let j = Journal.create ~name:"T" in
+  let write k v =
+    if not (Journal.noted j k) then Journal.note j k store.(k);
+    store.(k) <- v
+  in
+  let restore k v = store.(k) <- v in
+  write 0 5;
+  let outer = Journal.checkpoint j "outer" in
+  write 1 10;
+  write 2 20;
+  write 1 11;
+  check Alcotest.int "first write wins" 2 (Journal.dirty j);
+  let inner = Journal.checkpoint j "inner" in
+  write 2 21;
+  write 3 30;
+  check Alcotest.int "inner epoch sees its own keys" 2 (Journal.dirty j);
+  Journal.commit j inner;
+  check Alcotest.int "fold keeps the parent's pre-image of key 2" 3
+    (Journal.dirty j);
+  write 3 31;
+  check Alcotest.int "folded key stays noted" 3 (Journal.dirty j);
+  check Alcotest.int "rewind undoes each key once" 3
+    (Journal.rewind j outer ~restore);
+  check Alcotest.(array int) "contents at the opening"
+    [| 5; 0; 0; 0; 0; 0; 0; 0 |] store;
+  check Alcotest.string "scalar" "outer" (Journal.scalar j outer);
+  check Alcotest.int "outer epoch open and empty" 1 (Journal.depth j);
+  Journal.commit j outer;
+  write 4 40;
+  check Alcotest.int "no epoch, nothing noted" 0 (Journal.dirty j);
+  Alcotest.check_raises "stale"
+    (Invalid_argument "T.rewind: stale checkpoint") (fun () ->
+      ignore (Journal.rewind j outer ~restore : int));
+  Alcotest.check_raises "not innermost"
+    (Invalid_argument "T.commit: not the innermost checkpoint") (fun () ->
+      Journal.commit j outer)
+
+let test_journal_rewind_crosses_epochs () =
+  let store = Array.make 300 0 in
+  let j = Journal.create ~name:"T" in
+  let write k v =
+    if not (Journal.noted j k) then Journal.note j k store.(k);
+    store.(k) <- v
+  in
+  let restore k v = store.(k) <- v in
+  let d1 = Journal.checkpoint j () in
+  write 7 1;
+  let _d2 = Journal.checkpoint j () in
+  write 7 2;
+  write 299 2;
+  let _d3 = Journal.checkpoint j () in
+  write 7 3;
+  check Alcotest.int "every epoch's keys are undone" 4
+    (Journal.rewind j d1 ~restore);
+  check Alcotest.(pair int int) "back at d1" (0, 0) (store.(7), store.(299));
+  check Alcotest.int "inner epochs closed" 1 (Journal.depth j);
+  (* Marks were put back: the reopened epoch notes key 7 afresh. *)
+  write 7 4;
+  check Alcotest.int "key noted again in d1" 1 (Journal.dirty j);
+  Journal.reset j;
+  check Alcotest.int "reset closes every epoch" 0 (Journal.depth j);
+  write 7 5;
+  check Alcotest.int "nothing noted after reset" 0 (Journal.dirty j)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -325,6 +398,11 @@ let () =
           Alcotest.test_case "pct change" `Quick test_stats_pct_change ] );
       ( "textplot",
         [ Alcotest.test_case "renders" `Quick test_textplot_renders ] );
+      ( "journal",
+        [ Alcotest.test_case "commit folds into parent" `Quick
+            test_journal_commit_folds;
+          Alcotest.test_case "rewind crosses epochs" `Quick
+            test_journal_rewind_crosses_epochs ] );
       ( "properties",
         qcheck
           [ prop_prng_int_bounds; prop_bits_flip_involution;
