@@ -25,6 +25,7 @@ module Clock = Iris_vtx.Clock
 module Stats = Iris_util.Stats
 module Plot = Iris_util.Textplot
 module Orch = Iris_orchestrator.Orchestrator
+module Table1 = Iris_orchestrator.Table1
 
 (* Key numbers the experiments also push into BENCH_iris.json, so CI
    and notebooks can track them without scraping stdout. *)
@@ -728,53 +729,52 @@ let table1 ?(mutations = 10_000) () =
     (Printf.sprintf
        "Table I: new coverage from the PoC fuzzer (N=%d mutations/test)"
        mutations);
-  let m = mgr () in
   let recordings =
-    List.map (fun w -> (w, fst (recorded_run w))) Iris_fuzzer.Table1.workloads
+    List.map (fun w -> (w, fst (recorded_run w))) Table1.workloads
   in
-  let rows = Iris_fuzzer.Table1.run ~mutations ~manager:m ~recordings () in
+  let rows = Table1.run ~mutations ~recordings () in
   let header =
     "Exit Reason"
     :: List.concat_map
          (fun w -> [ W.name w ^ " VMCS"; W.name w ^ " GPR" ])
-         Iris_fuzzer.Table1.workloads
+         Table1.workloads
   in
   let body =
     List.map
       (fun row ->
-        R.short_name row.Iris_fuzzer.Table1.reason
+        R.short_name row.Table1.reason
         :: List.map
              (fun (_, _, cell) ->
                match cell with
-               | Iris_fuzzer.Table1.Absent -> "-"
-               | Iris_fuzzer.Table1.Cell r ->
+               | Table1.Absent -> "-"
+               | Table1.Cell r ->
                    Iris_fuzzer.Campaign.pct_string r)
-             row.Iris_fuzzer.Table1.cells)
+             row.Table1.cells)
       rows
   in
   print_string
     (Plot.table ~title:"coverage increase over single-seed baseline" ~header
        body);
-  let stats = Iris_fuzzer.Table1.crash_stats rows in
+  let stats = Table1.crash_stats rows in
   Report.put_f "table1.vmcs_vm_crash_pct"
-    stats.Iris_fuzzer.Table1.vmcs_vm_crash_pct;
+    stats.Table1.vmcs_vm_crash_pct;
   Report.put_f "table1.vmcs_hv_crash_pct"
-    stats.Iris_fuzzer.Table1.vmcs_hv_crash_pct;
+    stats.Table1.vmcs_hv_crash_pct;
   Report.put_f "table1.gpr_vm_crash_pct"
-    stats.Iris_fuzzer.Table1.gpr_vm_crash_pct;
+    stats.Table1.gpr_vm_crash_pct;
   Report.put_f "table1.gpr_hv_crash_pct"
-    stats.Iris_fuzzer.Table1.gpr_hv_crash_pct;
+    stats.Table1.gpr_hv_crash_pct;
   Printf.printf
     "\nfailures while mutating the VMCS area: %.1f%% VM crashes, %.1f%% \
      hypervisor crashes\n  (paper: ~1%% VM, ~15%% hypervisor)\n"
-    stats.Iris_fuzzer.Table1.vmcs_vm_crash_pct
-    stats.Iris_fuzzer.Table1.vmcs_hv_crash_pct;
+    stats.Table1.vmcs_vm_crash_pct
+    stats.Table1.vmcs_hv_crash_pct;
   Printf.printf
     "failures while mutating the GPR area:  %.1f%% VM crashes, %.1f%% \
      hypervisor crashes\n  (paper: only a small number of VM crashes, on CR \
      ACCESS seeds)\n"
-    stats.Iris_fuzzer.Table1.gpr_vm_crash_pct
-    stats.Iris_fuzzer.Table1.gpr_hv_crash_pct;
+    stats.Table1.gpr_vm_crash_pct
+    stats.Table1.gpr_hv_crash_pct;
   let gpr_crashers =
     List.filter_map
       (fun row ->
@@ -782,17 +782,17 @@ let table1 ?(mutations = 10_000) () =
           List.fold_left
             (fun acc (_, area, cell) ->
               match cell with
-              | Iris_fuzzer.Table1.Cell r
+              | Table1.Cell r
                 when area = Iris_fuzzer.Mutation.Area_gpr ->
                   acc + r.Iris_fuzzer.Campaign.vm_crashes
                   + r.Iris_fuzzer.Campaign.hv_crashes
               | _ -> acc)
-            0 row.Iris_fuzzer.Table1.cells
+            0 row.Table1.cells
         in
         if crashes > 0 then
           Some
             (Printf.sprintf "%s(%d)"
-               (R.short_name row.Iris_fuzzer.Table1.reason)
+               (R.short_name row.Table1.reason)
                crashes)
         else None)
       rows
@@ -1274,11 +1274,8 @@ let revert_bench () =
      workers use the standard empty-memory dummy, so the oracle here
      does too). *)
   let seq_oracle =
-    let replayer =
-      Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-    in
-    Campaign.run_with ~snapshot_mode:Campaign.Full_restore ~config ~replayer
-      ~trace ~reason:R.Rdtsc ~area:Iris_fuzzer.Mutation.Area_vmcs ()
+    Iris_oracle.campaign ~mode:Campaign.Full_restore ~config ~manager:m
+      ~recording ~reason:R.Rdtsc ~area:Iris_fuzzer.Mutation.Area_vmcs ()
   in
   (match
      ( seq_oracle,

@@ -340,35 +340,28 @@ let fuzz_cmd =
                   detail)
             g.Iris_fuzzer.Guided.crashing
     end
-    else if jobs > 1 then begin
-      (* Sharded campaign: each worker owns an isolated hypervisor +
-         dummy VM; the ordered merge makes the report identical to a
-         sequential run. *)
+    else begin
+      (* Each worker owns an isolated hypervisor + dummy VM; the
+         ordered merge makes the report identical at any --jobs. *)
       let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
       match Orch.fuzz ~jobs ~config ~recording ~reason ~area () with
       | None ->
           Printf.printf "the trace has no seed with exit reason %s\n"
             (R.short_name reason)
       | Some o ->
+          let run_hub = o.Orch.fuzz_report.Orch.r_hub in
           print_campaign o.Orch.fuzz_result;
           print_newline ();
           print_string (Orch.render_workers o.Orch.fuzz_report);
           if metrics then begin
-            sample_gc o.Orch.fuzz_report.Orch.r_hub.T.Hub.registry;
-            print_string
-              (T.Hub.summary ~title:"telemetry (merged)"
-                 o.Orch.fuzz_report.Orch.r_hub)
-          end
-    end
-    else begin
-      let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
-      match
-        Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason ~area ()
-      with
-      | None ->
-          Printf.printf "the trace has no seed with exit reason %s\n"
-            (R.short_name reason)
-      | Some r -> print_campaign r
+            sample_gc run_hub.T.Hub.registry;
+            print_string (T.Hub.summary ~title:"telemetry (merged)" run_hub)
+          end;
+          (* the cases' spans join the recording's in --trace-out *)
+          Option.iter
+            (fun h ->
+              T.Tracer.append ~into:h.T.Hub.tracer run_hub.T.Hub.tracer)
+            hub
     end;
     telemetry_report ~trace_out ~metrics hub
   in
@@ -781,18 +774,22 @@ let bisect_cmd =
     Printf.printf "fuzzing %s/%s for a crashing mutant...\n%!"
       (R.short_name reason)
       (Iris_fuzzer.Mutation.area_name area);
-    let result =
-      Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason ~area
-        ()
-    in
+    let result = Orch.fuzz ~jobs:1 ~config ~recording ~reason ~area () in
     let plan =
       Iris_fuzzer.Campaign.plan ~config ~trace ~reason ~area
     in
+    (* the campaign's telemetry joins the command's *)
+    (match (hub, result) with
+    | Some h, Some o ->
+        let run_hub = o.Orch.fuzz_report.Orch.r_hub in
+        T.Hub.merge_into ~into:h run_hub;
+        T.Tracer.append ~into:h.T.Hub.tracer run_hub.T.Hub.tracer
+    | _ -> ());
     (match (result, plan) with
     | None, _ | _, None ->
         Printf.printf "the trace has no seed with exit reason %s\n"
           (R.short_name reason)
-    | Some r, Some plan -> (
+    | Some { Orch.fuzz_result = r; _ }, Some plan -> (
         match r.Iris_fuzzer.Campaign.crashing with
         | [] ->
             Printf.printf

@@ -5,6 +5,7 @@
      dune exec examples/fuzz_campaign.exe *)
 
 module Manager = Iris_core.Manager
+module Orch = Iris_orchestrator.Orchestrator
 module Campaign = Iris_fuzzer.Campaign
 module Mutation = Iris_fuzzer.Mutation
 module W = Iris_guest.Workload
@@ -21,9 +22,9 @@ let () =
       Printf.printf "\n== test case: W=CPU-bound, reason=%s, area=%s ==\n"
         (R.short_name reason)
         (Mutation.area_name area);
-      match Campaign.run ~config ~manager ~recording ~reason ~area () with
+      match Orch.fuzz ~jobs:1 ~config ~recording ~reason ~area () with
       | None -> Printf.printf "no seed with that exit reason in W\n"
-      | Some r ->
+      | Some { Orch.fuzz_result = r; _ } ->
           Printf.printf
             "VMseed_R = seed #%d; %d mutated versions submitted\n"
             r.Campaign.seed_index r.Campaign.executed;

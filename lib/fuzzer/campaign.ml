@@ -61,41 +61,14 @@ let submit_probed replayer seed =
   let span = Cov.span_end ctx.Ctx.cov in
   (outcome, span)
 
-(* The campaign's instrument pack: per-mutation counters plus the
-   coverage-gain gauge the paper's Table 2 reports per campaign. *)
-type fuzz_instruments = {
-  f_probe : Iris_telemetry.Probe.t;
-  f_mutations : Iris_telemetry.Registry.counter;
-  f_vm_crashes : Iris_telemetry.Registry.counter;
-  f_hv_crashes : Iris_telemetry.Registry.counter;
-  f_new_lines : Iris_telemetry.Registry.counter;
-  f_gain_pct : Iris_telemetry.Registry.gauge;
-}
-
-let fuzz_instruments ctx =
-  match Iris_hv.Observe.probe ctx with
-  | None -> None
-  | Some p ->
-      let reg =
-        (Iris_telemetry.Probe.hub p).Iris_telemetry.Hub.registry
-      in
-      Some
-        { f_probe = p;
-          f_mutations = Iris_telemetry.Registry.counter reg "fuzz.mutations";
-          f_vm_crashes = Iris_telemetry.Registry.counter reg "fuzz.vm_crashes";
-          f_hv_crashes = Iris_telemetry.Registry.counter reg "fuzz.hv_crashes";
-          f_new_lines = Iris_telemetry.Registry.counter reg "fuzz.new_lines";
-          f_gain_pct =
-            Iris_telemetry.Registry.gauge reg "fuzz.coverage_gain_pct" }
-
 (* --- pure test-case generation ---
 
-   The plan replays [run]'s exact PRNG call sequence (target pick,
+   The plan fixes the campaign's PRNG call sequence (target pick,
    then [config.mutations] draws of [Mutation.random]) without
    touching a hypervisor, so test cases can be generated once on the
    dispatching side and sharded across workers.  Mutations that the
-   PRNG rejects ([Mutation.random] returning [None]) are dropped here,
-   exactly as the sequential loop skips them. *)
+   PRNG rejects ([Mutation.random] returning [None]) are dropped
+   here. *)
 
 type plan = {
   plan_reason : Iris_vtx.Exit_reason.t;
@@ -147,6 +120,13 @@ type raw = {
   raw_cycles : int64;
 }
 
+(* A case whose worker context died beyond the replayer's triage. *)
+let died_raw exn =
+  { raw_failure = Hypervisor_crash;
+    raw_detail = "worker context died: " ^ Printexc.to_string exn;
+    raw_span = Cov.Pset.empty;
+    raw_cycles = 0L }
+
 (* Fingerprint of a case outcome, folding every [raw] field in a fixed
    order (span points ascend — [Pset.fold] is ordered).  Since a raw is
    a pure function of (S_R, seed), equal digests across independent
@@ -172,15 +152,11 @@ let raw_digest raw =
    subsequent test case restores to here, which also resets the
    virtual clock — the reason a test case's outcome is independent of
    what its worker executed before it. *)
-let reach_sr_state ~replayer ~trace ~seed_index =
+let reach_sr ~replayer ~trace ~seed_index =
   let prefix = Array.sub trace.Iris_core.Trace.seeds 0 seed_index in
   let reached, _ = Replayer.submit_all replayer prefix in
   if reached < Array.length prefix then
     invalid_arg "Campaign: prefix replay crashed"
-
-let reach_sr ~replayer ~trace ~seed_index =
-  reach_sr_state ~replayer ~trace ~seed_index;
-  Iris_hv.Domain.snapshot (Replayer.ctx replayer).Ctx.dom
 
 (* How a worker pins S_R between cases: [Full_restore] deep-copies the
    whole domain and transplants it back after every case (the original
@@ -247,7 +223,7 @@ let cow_slots ctx =
       Some (R.slots_of reg (Array.append fixed (R.vec_counters vec)))
 
 let anchor ?(mode = Cow) ~replayer ~trace ~seed_index () =
-  reach_sr_state ~replayer ~trace ~seed_index;
+  reach_sr ~replayer ~trace ~seed_index;
   let ctx = Replayer.ctx replayer in
   let dom = ctx.Ctx.dom in
   match mode with
@@ -256,6 +232,14 @@ let anchor ?(mode = Cow) ~replayer ~trace ~seed_index () =
       let cps = Iris_hv.Checkpoint.start dom in
       let mark = Iris_hv.Checkpoint.push cps in
       Anchor_cow (cps, mark, cow_slots ctx)
+
+(* A universe that attaches its probe only after S_R (so setup stays
+   out of the counters) resolves the batch here, once the probe
+   exists. *)
+let observe_anchor ~replayer = function
+  | Anchor_full _ as a -> a
+  | Anchor_cow (cps, mark, _) ->
+      Anchor_cow (cps, mark, cow_slots (Replayer.ctx replayer))
 
 (* COW-effectiveness telemetry (visible in [stats]): how many reverts
    took the journal path and how little they had to restore, broken
@@ -340,67 +324,3 @@ let finalize ~plan:p ~raws =
     vm_crashes = !vm_crashes;
     hv_crashes = !hv_crashes;
     crashing = List.rev !crashing }
-
-(* --- sequential driver --- *)
-
-let run_with ?(snapshot_mode = Cow) ~config ~replayer ~trace ~reason ~area
-    () =
-  match plan ~config ~trace ~reason ~area with
-  | None -> None
-  | Some p ->
-      let seed_index = p.plan_target.Seed.index in
-      let anch =
-        anchor ~mode:snapshot_mode ~replayer ~trace ~seed_index ()
-      in
-      let ctx = Replayer.ctx replayer in
-      let fi = fuzz_instruments ctx in
-      (match fi with
-      | None -> ()
-      | Some f ->
-          let hub = Iris_telemetry.Probe.hub f.f_probe in
-          Iris_telemetry.Tracer.begin_span hub.Iris_telemetry.Hub.tracer
-            ~cat:"phase" ~tid:(Iris_telemetry.Probe.tid f.f_probe)
-            ~name:"campaign"
-            ~args:
-              [ ("reason", Iris_vtx.Exit_reason.name reason);
-                ("seed_index", string_of_int seed_index) ]
-            ~ts:(Iris_vtx.Clock.now (Ctx.clock ctx)));
-      let n = case_count p in
-      let raws =
-        Array.init n (fun i -> execute_case ~replayer ~anchor:anch (case p i))
-      in
-      (match anch with
-      | Anchor_full _ -> ()
-      | Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.pop cps mark);
-      let result = finalize ~plan:p ~raws in
-      (match fi with
-      | None -> ()
-      | Some f ->
-          Iris_telemetry.Registry.add f.f_mutations result.executed;
-          Iris_telemetry.Registry.add f.f_new_lines
-            (result.fuzz_lines - result.baseline_lines);
-          Iris_telemetry.Registry.add f.f_vm_crashes result.vm_crashes;
-          Iris_telemetry.Registry.add f.f_hv_crashes result.hv_crashes;
-          Iris_telemetry.Registry.set f.f_gain_pct
-            (Int64.of_float result.coverage_increase_pct);
-          let now = Iris_vtx.Clock.now (Ctx.clock ctx) in
-          Iris_telemetry.Probe.unwind f.f_probe ~now;
-          Iris_telemetry.Tracer.end_span
-            (Iris_telemetry.Probe.hub f.f_probe).Iris_telemetry.Hub.tracer
-            ~name:"campaign"
-            ~args:
-              [ ("executed", string_of_int result.executed);
-                ("vm_crashes", string_of_int result.vm_crashes);
-                ("hv_crashes", string_of_int result.hv_crashes) ]
-            ~ts:now);
-      Some result
-
-let run ?(snapshot_mode = Cow) ~config ~manager ~recording ~reason ~area
-    () =
-  let trace = recording.Manager.trace in
-  if Iris_core.Trace.seeds_with_reason trace reason = [] then None
-  else
-    let replayer =
-      Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
-    in
-    run_with ~snapshot_mode ~config ~replayer ~trace ~reason ~area ()

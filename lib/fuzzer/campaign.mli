@@ -59,23 +59,13 @@ type snapshot_mode =
           dirtied (kAFL/Nyx-style snapshot-reset); observably
           identical to [Full_restore], ~the dirtied footprint cheaper *)
 
-val run :
-  ?snapshot_mode:snapshot_mode ->
-  config:config -> manager:Iris_core.Manager.t ->
-  recording:Iris_core.Manager.recording ->
-  reason:Iris_vtx.Exit_reason.t -> area:Mutation.area ->
-  unit -> result option
-(** [None] when the recording contains no seed with [reason] (a "-"
-    cell in Table I).  [VMseed_R] is drawn uniformly among that
-    reason's seeds.  [snapshot_mode] defaults to [Cow]. *)
+(** {2 Plan, execute, finalize}
 
-(** {2 Sharded execution}
-
-    [run] decomposes into a pure {!plan} (test-case generation), a
-    per-case {!execute_case} (the only part that needs a hypervisor),
-    and a pure ordered {!finalize} — the seams the orchestrator
-    dispatches across worker domains.  [run] itself is
-    [plan → execute each case in order → finalize]. *)
+    A campaign decomposes into a pure {!plan} (test-case generation),
+    a per-case {!execute_case} (the only part that needs a
+    hypervisor), and a pure ordered {!finalize}.
+    [Iris_orchestrator.Orchestrator.fuzz] is the driver that runs
+    them, sharding the cases across its worker domains. *)
 
 type plan = {
   plan_reason : Iris_vtx.Exit_reason.t;
@@ -88,8 +78,9 @@ type plan = {
 val plan :
   config:config -> trace:Iris_core.Trace.t ->
   reason:Iris_vtx.Exit_reason.t -> area:Mutation.area -> plan option
-(** Pure: replays [run]'s exact PRNG call sequence without touching a
-    hypervisor.  [None] when the trace has no seed with [reason]. *)
+(** Pure: draws the target and the mutations from [config.prng_seed]
+    without touching a hypervisor.  [None] when the trace has no seed
+    with [reason]. *)
 
 val case : plan -> int -> Iris_core.Seed.t
 (** Materialise test case [i]: case 0 is the unmutated baseline, case
@@ -116,18 +107,16 @@ type raw = {
     Reverting resets the virtual clock to [S_R]'s, so every field is
     a function of (S_R, seed) alone. *)
 
+val died_raw : exn -> raw
+(** The [Hypervisor_crash] outcome recorded for a case whose worker
+    context died with [exn] beyond the replayer's triage — what the
+    orchestrator's and the service's panic containment report. *)
+
 val raw_digest : raw -> string
 (** FNV-64 fingerprint over every [raw] field (span points in
     ascending order).  Equal outcomes digest equal, so independent
     replays of the same (S_R, seed) can be compared without keeping
     the spans around — the service layer's corpus replay check. *)
-
-val reach_sr :
-  replayer:Iris_core.Replayer.t -> trace:Iris_core.Trace.t ->
-  seed_index:int -> Iris_hv.Domain.snapshot
-(** Replay the recorded prefix up to (excluding) [seed_index] and
-    snapshot the valid state [S_R].  Raises [Invalid_argument] if the
-    prefix itself crashes. *)
 
 type anchor =
   | Anchor_full of Iris_hv.Domain.snapshot
@@ -149,6 +138,13 @@ val anchor :
     the valid state [S_R] in [mode] (default [Cow]).  Raises
     [Invalid_argument] if the prefix itself crashes. *)
 
+val observe_anchor : replayer:Iris_core.Replayer.t -> anchor -> anchor
+(** The same anchor with its revert-telemetry slot batch resolved
+    against the probe attached to the replayer's context now — for a
+    universe that attaches its probe only after S_R, so that setup
+    stays out of the counters.  A full-restore anchor is returned
+    unchanged. *)
+
 val execute_case :
   replayer:Iris_core.Replayer.t -> anchor:anchor ->
   Iris_core.Seed.t -> raw
@@ -163,13 +159,3 @@ val finalize : plan:plan -> raws:raw array -> result
     order.  Per-verdict [new_lines] is recomputed here in index order,
     which is what makes the merged report independent of how cases
     were sharded. *)
-
-val run_with :
-  ?snapshot_mode:snapshot_mode ->
-  config:config -> replayer:Iris_core.Replayer.t ->
-  trace:Iris_core.Trace.t ->
-  reason:Iris_vtx.Exit_reason.t -> area:Mutation.area ->
-  unit -> result option
-(** [run] against a caller-owned replayer (the worker-side entry
-    point): plan, pin S_R in [snapshot_mode] (default [Cow]), execute
-    every case sequentially, finalize. *)

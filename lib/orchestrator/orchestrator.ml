@@ -1,10 +1,10 @@
 (* Parallel fuzzing orchestrator (paper §VII, scaled out).
 
-   Shards campaign/guided test cases across N worker domains, each
-   owning a fully isolated hypervisor + dummy-VM instance: booted
-   once (constructed, reverted to the recording snapshot, prefix
-   replayed to the valid state S_R), then snapshot/reverted per test
-   case exactly as the sequential fuzzer does.
+   The one driver of a campaign: [fuzz] shards its test cases across
+   N worker domains ([N = 1] runs inline), each owning a fully
+   isolated hypervisor + dummy-VM instance: booted once (constructed,
+   reverted to the recording snapshot, prefix replayed to the valid
+   state S_R), then rewound to S_R after every test case.
 
    Determinism is the subsystem's contract.  It rests on three facts:
 
@@ -21,6 +21,7 @@
      independent of the partition.  Worker *setup* (prefix replay) is
      kept out of the registries by attaching the probe only after S_R
      is reached — otherwise N workers would count the prefix N times.
+     Worker trace spans are carried over too, in worker-id order.
 
    Model time: the substrate measures everything in virtual TSC
    cycles (3.6 GHz), so the scaling experiment does too.  A parallel
@@ -35,7 +36,6 @@ module Seed = Iris_core.Seed
 module Manager = Iris_core.Manager
 module Replayer = Iris_core.Replayer
 module Campaign = Iris_fuzzer.Campaign
-module Guided = Iris_fuzzer.Guided
 module Hub = Iris_telemetry.Hub
 
 let cycles_per_second = 3_600_000_000.0
@@ -65,10 +65,11 @@ let boot_universe ?hub ~recording ~seed_index ~name () =
   let t0 = Iris_vtx.Clock.now (Ctx.clock ctx) in
   let anchor = Campaign.anchor ~replayer ~trace ~seed_index () in
   let setup = Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0 in
-  (match hub with
-  | Some hub -> ignore (Iris_hv.Observe.attach hub ctx : Iris_telemetry.Probe.t)
-  | None -> ());
-  (replayer, anchor, setup)
+  match hub with
+  | Some hub ->
+      ignore (Iris_hv.Observe.attach hub ctx : Iris_telemetry.Probe.t);
+      (replayer, Campaign.observe_anchor ~replayer anchor, setup)
+  | None -> (replayer, anchor, setup)
 
 let boot_worker ~recording ~seed_index ~hub ~setups wid =
   let replayer, anchor, setup =
@@ -126,7 +127,11 @@ let render_workers rep =
 
 let build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds =
   let merged = Hub.create () in
-  Array.iter (fun h -> Hub.merge_into ~into:merged h) hubs;
+  Array.iter
+    (fun h ->
+      Hub.merge_into ~into:merged h;
+      Iris_telemetry.Tracer.append ~into:merged.Hub.tracer h.Hub.tracer)
+    hubs;
   let workers =
     Array.init jobs (fun w ->
         { w_id = w;
@@ -179,12 +184,7 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
       (* Panic containment: a worker whose hypervisor context dies in
          a way the replayer could not triage still reports the crash
          verdict for its case; the pool respawns the worker. *)
-      let on_crash exn _i =
-        { Campaign.raw_failure = Campaign.Hypervisor_crash;
-          raw_detail = "worker context died: " ^ Printexc.to_string exn;
-          raw_span = Cov.Pset.empty;
-          raw_cycles = 0L }
-      in
+      let on_crash exn _i = Campaign.died_raw exn in
       let host_t0 = Unix.gettimeofday () in
       let raws, stats, who = Pool.run ~jobs ~total ~init ~task ~on_crash in
       let host_seconds = Unix.gettimeofday () -. host_t0 in
@@ -201,8 +201,7 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
       let report =
         build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds
       in
-      (* Campaign-level aggregates on the merged hub: the same totals
-         the sequential runner's instrument pack ends up with. *)
+      (* Campaign-level aggregates on the merged hub. *)
       let reg = report.r_hub.Hub.registry in
       let open Iris_telemetry.Registry in
       add (counter reg "fuzz.mutations") result.Campaign.executed;
@@ -214,55 +213,6 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
         (gauge reg "fuzz.coverage_gain_pct")
         (Int64.of_float result.Campaign.coverage_increase_pct);
       Some { fuzz_result = result; fuzz_report = report }
-
-(* --- case-level sharding: whole guided/naive runs fanned out --- *)
-
-type sweep_outcome = {
-  sweep_results : (Iris_vtx.Exit_reason.t * Guided.result option) array;
-      (* one per requested reason, in request order *)
-  sweep_report : report;
-}
-
-(* A guided run is inherently sequential (each round mutates the
-   corpus previous rounds grew), so the unit of sharding is a whole
-   run.  Each task builds a fresh dummy VM exactly like the
-   sequential [Guided.run] does, with the probe attached from
-   construction: every run (prefix replay included) executes exactly
-   once globally, so merged counters stay partition-independent. *)
-let guided_sweep ?(jobs = 1) ?(guided = true) ~config ~recording ~reasons () =
-  let trace = recording.Manager.trace in
-  let jobs = max 1 jobs in
-  let total = Array.length reasons in
-  let hubs = Array.init jobs (fun _ -> Hub.create ()) in
-  let setups = Array.make jobs 0L in
-  let busy = Array.make jobs 0L in
-  let init wid = (wid, hubs.(wid)) in
-  let task (wid, hub) i =
-    let cov = Cov.create () in
-    let hooks = Iris_hv.Hooks.create () in
-    let ctx =
-      Iris_hv.Xen.construct ~dummy:true ~cov ~hooks
-        ~name:(Printf.sprintf "worker%d-dummy" wid) ()
-    in
-    ignore (Iris_hv.Observe.attach hub ctx : Iris_telemetry.Probe.t);
-    Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
-      ~keep_memory:false;
-    let replayer = Replayer.create ctx in
-    let r =
-      Guided.run_with ~config ~replayer ~trace ~reason:reasons.(i) ~guided ()
-    in
-    (match r with
-    | Some g -> busy.(wid) <- Int64.add busy.(wid) g.Guided.total_cycles
-    | None -> ());
-    r
-  in
-  let on_crash _exn _i = None in
-  let host_t0 = Unix.gettimeofday () in
-  let results, stats, _who = Pool.run ~jobs ~total ~init ~task ~on_crash in
-  let host_seconds = Unix.gettimeofday () -. host_t0 in
-  let report = build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds in
-  { sweep_results = Array.mapi (fun i r -> (reasons.(i), r)) results;
-    sweep_report = report }
 
 (* --- differential sharding: recorded seeds fanned out across the
    VT-x/SVM oracle --- *)

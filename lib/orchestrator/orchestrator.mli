@@ -2,15 +2,17 @@
     with a deterministic merge (DESIGN.md §8; scales out the paper's
     §VII campaign loop).
 
-    Test cases are sharded across N worker domains, each owning a
-    fully isolated hypervisor + dummy-VM universe: booted once
-    (constructed, reverted to the recording snapshot, prefix replayed
-    to the valid state S_R), then snapshot/reverted per case exactly
-    like the sequential fuzzer.  Results carry their test-case index
-    and are merged in index order; per-worker telemetry registries
-    merge commutatively.  The merged campaign report, crash list and
-    telemetry snapshot are byte-identical for any [jobs] — the test
-    suite and the [scaling] bench enforce this by digest. *)
+    {!fuzz} is the one driver of a campaign.  Test cases are sharded
+    across N worker domains ([N = 1] runs inline), each owning a fully
+    isolated hypervisor + dummy-VM universe: booted once (constructed,
+    reverted to the recording snapshot, prefix replayed to the valid
+    state S_R), then rewound to S_R after every case.  Results carry
+    their test-case index and are merged in index order; per-worker
+    telemetry registries merge commutatively, and worker trace spans
+    are carried into the merged hub in worker-id order.  The merged
+    campaign report, crash list and telemetry snapshot are
+    byte-identical for any [jobs] — the test suite and the [scaling]
+    bench enforce this by digest. *)
 
 val cycles_per_second : float
 (** The substrate's 3.6 GHz virtual TSC. *)
@@ -30,7 +32,9 @@ type worker_report = {
 type report = {
   r_jobs : int;
   r_workers : worker_report array;
-  r_hub : Iris_telemetry.Hub.t;  (** merged, in worker-id order *)
+  r_hub : Iris_telemetry.Hub.t;
+      (** merged registries plus every worker's trace spans, in
+          worker-id order *)
   r_model_wall_cycles : int64;
       (** critical path: max over workers of setup + busy — how wall
           time composes on real hardware, independent of this host's
@@ -52,7 +56,8 @@ val boot_universe :
     state S_R and pin it (COW anchor).  Returns the replayer, the
     anchor and the setup cost in modeled cycles.  When [hub] is given
     the telemetry probe is attached only after S_R, keeping setup out
-    of mergeable counters.  The building block behind {!fuzz}'s
+    of mergeable counters; the anchor's COW revert counters are
+    resolved against that probe.  The building block behind {!fuzz}'s
     workers, exposed for the service layer's per-job universes. *)
 
 val render_workers : report -> string
@@ -62,7 +67,7 @@ val render_workers : report -> string
 
 type fuzz_outcome = {
   fuzz_result : Iris_fuzzer.Campaign.result;
-      (** byte-identical to the sequential [Campaign.run] result *)
+      (** byte-identical for any [jobs] *)
   fuzz_report : report;
 }
 
@@ -76,24 +81,6 @@ val fuzz :
     A worker whose hypervisor context dies beyond triage reports a
     [Hypervisor_crash] verdict for the offending case and is
     respawned. *)
-
-(** {2 Run-level sharding: whole guided/naive runs fanned out} *)
-
-type sweep_outcome = {
-  sweep_results :
-    (Iris_vtx.Exit_reason.t * Iris_fuzzer.Guided.result option) array;
-      (** one per requested reason, in request order *)
-  sweep_report : report;
-}
-
-val guided_sweep :
-  ?jobs:int -> ?guided:bool -> config:Iris_fuzzer.Guided.config ->
-  recording:Iris_core.Manager.recording ->
-  reasons:Iris_vtx.Exit_reason.t array -> unit -> sweep_outcome
-(** A guided run is inherently sequential (each round mutates the
-    corpus previous rounds grew), so the unit of sharding is a whole
-    run: one per exit reason.  [~guided:false] runs the naive
-    baseline at the same budget. *)
 
 (** {2 Differential sweeps} *)
 

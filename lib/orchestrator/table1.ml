@@ -1,5 +1,7 @@
 module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
+module Campaign = Iris_fuzzer.Campaign
+module Mutation = Iris_fuzzer.Mutation
 
 type cell =
   | Absent
@@ -16,7 +18,7 @@ let reasons =
 
 let workloads = [ W.Os_boot; W.Cpu_bound; W.Idle ]
 
-let run ?mutations ~manager ~recordings () =
+let run ?mutations ~recordings () =
   let config =
     match mutations with
     | Some m -> { Campaign.default_config with Campaign.mutations = m }
@@ -31,9 +33,10 @@ let run ?mutations ~manager ~recordings () =
               (fun area ->
                 let cell =
                   match
-                    Campaign.run ~config ~manager ~recording ~reason ~area ()
+                    Orchestrator.fuzz ~jobs:1 ~config ~recording ~reason
+                      ~area ()
                   with
-                  | Some result -> Cell result
+                  | Some o -> Cell o.Orchestrator.fuzz_result
                   | None -> Absent
                 in
                 (w, area, cell))

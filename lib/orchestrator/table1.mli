@@ -4,11 +4,11 @@
 type cell =
   | Absent
       (** the workload never produced that exit reason ("-") *)
-  | Cell of Campaign.result
+  | Cell of Iris_fuzzer.Campaign.result
 
 type row = {
   reason : Iris_vtx.Exit_reason.t;
-  cells : (Iris_guest.Workload.t * Mutation.area * cell) list;
+  cells : (Iris_guest.Workload.t * Iris_fuzzer.Mutation.area * cell) list;
 }
 
 val reasons : Iris_vtx.Exit_reason.t list
@@ -19,9 +19,11 @@ val workloads : Iris_guest.Workload.t list
 (** OS BOOT, CPU-bound, IDLE. *)
 
 val run :
-  ?mutations:int -> manager:Iris_core.Manager.t ->
+  ?mutations:int ->
   recordings:(Iris_guest.Workload.t * Iris_core.Manager.recording) list ->
   unit -> row list
+(** One {!Orchestrator.fuzz} campaign per cell, at [jobs = 1];
+    [mutations] defaults to the paper's 10,000. *)
 
 type crash_stats = {
   vmcs_tests : int;

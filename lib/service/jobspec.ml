@@ -97,15 +97,9 @@ let to_json t =
   in
   J.Obj (base @ timeout)
 
-let num_value = function
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
-
 let of_json j =
   let str k = Option.bind (J.member k j) J.string_value in
   let int k = Option.bind (J.member k j) J.int_value in
-  let num k = Option.bind (J.member k j) num_value in
   let ( let* ) = Result.bind in
   let require what = function
     | Some v -> Ok v
@@ -136,16 +130,31 @@ let of_json j =
     Result.bind (require "mutations" (int "mutations")) (positive "mutations")
   in
   let* prng_seed = require "prng_seed" (int "prng_seed") in
-  let tenant = Option.value (str "tenant") ~default:"default" in
-  let priority = Option.value (int "priority") ~default:1 in
-  let* boot_scale =
-    match num "boot_scale" with
-    | None -> Ok 0.05
-    | Some b when Float.is_finite b && b > 0.0 -> Ok b
-    | Some _ ->
-        Error "jobspec: \"boot_scale\" must be a positive finite number"
+  (* An optional field may be absent; present, it must be well typed. *)
+  let optional k value =
+    match J.member k j with
+    | None -> Ok None
+    | Some v -> (
+        match value v with
+        | Some x -> Ok (Some x)
+        | None -> Error (Printf.sprintf "jobspec: bad %S" k))
   in
-  let timeout_cycles = Option.map Int64.of_int (int "timeout_cycles") in
+  let* tenant = optional "tenant" J.string_value in
+  let* priority = optional "priority" J.int_value in
+  let* priority = positive "priority" (Option.value priority ~default:1) in
+  let* boot_scale = optional "boot_scale" J.float_value in
+  let* boot_scale =
+    match Option.value boot_scale ~default:0.05 with
+    | b when Float.is_finite b && b > 0.0 -> Ok b
+    | _ -> Error "jobspec: \"boot_scale\" must be a positive finite number"
+  in
+  let* timeout = optional "timeout_cycles" J.int_value in
+  let* timeout_cycles =
+    match timeout with
+    | None -> Ok None
+    | Some c -> Result.map Option.some (positive "timeout_cycles" c)
+  in
   Ok
-    (make ~tenant ~priority ~boot_scale ?timeout_cycles ~workload ~exits
-       ~reason ~area ~mutations ~prng_seed ())
+    (make ?tenant ~priority ~boot_scale
+       ?timeout_cycles:(Option.map Int64.of_int timeout_cycles)
+       ~workload ~exits ~reason ~area ~mutations ~prng_seed ())

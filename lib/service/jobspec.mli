@@ -49,6 +49,7 @@ val to_json : t -> Iris_telemetry.Json.t
 val of_json : Iris_telemetry.Json.t -> (t, string) result
 (** Wire encoding.  [reason] serialises as the basic exit-reason code
     but parses from a name too; missing optional fields take the
-    {!make} defaults.  A spec whose [exits] or [mutations] is not
-    positive, or whose [boot_scale] is not a positive finite number,
-    is an [Error] naming the field. *)
+    {!make} defaults.  A spec whose [exits], [mutations], [priority]
+    or [timeout_cycles] is not positive, whose [boot_scale] is not a
+    positive finite number, or whose optional field has the wrong
+    type, is an [Error] naming the field. *)

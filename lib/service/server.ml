@@ -13,6 +13,7 @@ module Campaign = Iris_fuzzer.Campaign
 module Bisect = Iris_inspect.Bisect
 module Provenance = Iris_inspect.Provenance
 module Orchestrator = Iris_orchestrator.Orchestrator
+module Pool = Iris_orchestrator.Pool
 module Fnv = Iris_util.Fnv64
 
 type status =
@@ -100,8 +101,8 @@ type job = {
   mutable j_cycles : int64;
   mutable j_cancel : bool;
   mutable j_result : Campaign.result option;
-  (* per-round scratch, written by the executing domain, read after
-     the join barrier *)
+  (* per-round scratch, written by the pool worker that runs the job,
+     read after the pool's join barrier *)
   mutable j_round_consumed : int;
   mutable j_round_panic : string option;
   mutable j_round_timeout : bool;
@@ -257,13 +258,7 @@ let prepare t job =
     Registry.incr (counter t "service.jobs_failed");
     false
 
-(* --- quantum execution (runs on the job's own domain) --- *)
-
-let panic_raw msg =
-  { Campaign.raw_failure = Campaign.Hypervisor_crash;
-    raw_detail = "worker context died: " ^ msg;
-    raw_span = Cov.Pset.empty;
-    raw_cycles = 0L }
+(* --- quantum execution (runs on a pool worker) --- *)
 
 let timed_out job =
   match job.j_spec.Jobspec.timeout_cycles with
@@ -273,8 +268,7 @@ let timed_out job =
 (* Execute up to [budget] cases of [job], in case order.  Outcomes are
    pure functions of (S_R, seed), so the only effect of quantum
    boundaries is *where* this loop pauses — never what it computes.
-   Never raises: panics record a crash outcome for the current case
-   and drop the universe for respawn. *)
+   A panic escapes to the pool, whose [on_crash] is [contain_panic]. *)
 let exec_quantum job budget =
   job.j_round_consumed <- 0;
   job.j_round_panic <- None;
@@ -287,52 +281,49 @@ let exec_quantum job budget =
   in
   let seed_index = plan.Campaign.plan_target.Seed.index in
   let total = Campaign.case_count plan in
-  try
-    let universe =
-      match job.j_universe with
-      | Some u -> u
-      | None ->
-          let replayer, anchor, _setup =
-            Orchestrator.boot_universe ~hub:job.j_hub ~recording ~seed_index
-              ~name:(Printf.sprintf "svc-%s-dummy" job.j_key)
-              ()
-          in
-          let u = { u_replayer = replayer; u_anchor = anchor } in
-          job.j_universe <- Some u;
-          u
-    in
-    let continue = ref true in
-    while
-      !continue && job.j_round_consumed < budget && job.j_done < total
-    do
-      if timed_out job then begin
-        job.j_round_timeout <- true;
-        continue := false
-      end
-      else begin
-        let i = job.j_done in
-        let seed = Campaign.case plan i in
-        (match
-           Campaign.execute_case ~replayer:universe.u_replayer
-             ~anchor:universe.u_anchor seed
-         with
-        | raw ->
-            job.j_raws.(i) <- Some raw;
-            job.j_cycles <- Int64.add job.j_cycles raw.Campaign.raw_cycles
-        | exception exn ->
-            job.j_raws.(i) <- Some (panic_raw (Printexc.to_string exn));
-            job.j_universe <- None;
-            job.j_round_panic <- Some (Printexc.to_string exn);
-            continue := false);
-        job.j_done <- i + 1;
-        job.j_round_consumed <- job.j_round_consumed + 1
-      end
-    done;
-    if job.j_done >= total then job.j_round_timeout <- false
-  with exn ->
-    (* universe boot died: nothing executed this round *)
-    job.j_universe <- None;
-    job.j_round_panic <- Some (Printexc.to_string exn)
+  let universe =
+    match job.j_universe with
+    | Some u -> u
+    | None ->
+        let replayer, anchor, _setup =
+          Orchestrator.boot_universe ~hub:job.j_hub ~recording ~seed_index
+            ~name:(Printf.sprintf "svc-%s-dummy" job.j_key)
+            ()
+        in
+        let u = { u_replayer = replayer; u_anchor = anchor } in
+        job.j_universe <- Some u;
+        u
+  in
+  while
+    (not job.j_round_timeout)
+    && job.j_round_consumed < budget && job.j_done < total
+  do
+    if timed_out job then job.j_round_timeout <- true
+    else begin
+      let i = job.j_done in
+      let raw =
+        Campaign.execute_case ~replayer:universe.u_replayer
+          ~anchor:universe.u_anchor (Campaign.case plan i)
+      in
+      job.j_raws.(i) <- Some raw;
+      job.j_cycles <- Int64.add job.j_cycles raw.Campaign.raw_cycles;
+      job.j_done <- i + 1;
+      job.j_round_consumed <- job.j_round_consumed + 1
+    end
+  done;
+  if job.j_done >= total then job.j_round_timeout <- false
+
+(* A panic inside a live universe records a hypervisor-crash outcome
+   for the case in flight; one during the universe boot executed
+   nothing.  Either way the universe is dropped, for a respawn. *)
+let contain_panic job exn =
+  if Option.is_some job.j_universe then begin
+    job.j_raws.(job.j_done) <- Some (Campaign.died_raw exn);
+    job.j_done <- job.j_done + 1;
+    job.j_round_consumed <- job.j_round_consumed + 1
+  end;
+  job.j_universe <- None;
+  job.j_round_panic <- Some (Printexc.to_string exn)
 
 (* --- job completion (main domain) --- *)
 
@@ -541,22 +532,20 @@ let step t =
     in
     let to_run =
       List.filter (fun (id, _) -> not (job t id).j_cancel) runnable
+      |> List.map (fun (id, budget) -> (job t id, budget))
+      |> Array.of_list
     in
-    (match to_run with
-    | [] -> ()
-    | [ (id, budget) ] -> exec_quantum (job t id) budget
-    | _ when t.pool_jobs = 1 ->
-        List.iter (fun (id, budget) -> exec_quantum (job t id) budget) to_run
-    | _ ->
-        (* one domain per distinct job: disjoint universes, disjoint
-           job records; the join is the happens-before edge the main
-           domain reads results across *)
-        List.map
-          (fun (id, budget) ->
-            let j = job t id in
-            Domain.spawn (fun () -> exec_quantum j budget))
-          to_run
-        |> List.iter Domain.join);
+    let n = Array.length to_run in
+    (* one task per picked job: disjoint universes, disjoint job
+       records; the pool's join is the happens-before edge the main
+       domain reads results across *)
+    ignore
+      (Pool.run ~jobs:(min t.pool_jobs n) ~total:n ~init:ignore
+         ~task:(fun () i ->
+           let j, budget = to_run.(i) in
+           exec_quantum j budget)
+         ~on_crash:(fun exn i -> contain_panic (fst to_run.(i)) exn)
+        : unit array * Pool.stats array * int array);
     post_round t runnable;
     Registry.incr (counter t "service.rounds");
     emit_status t;
@@ -567,6 +556,9 @@ type drain_summary = {
   d_rounds : int;
   d_completed : int;
   d_failed : int;
+  d_no_seed : int;
+  d_cancelled : int;
+  d_timed_out : int;
   d_crashes : int;
   d_buckets : int;
   d_corpus : int;
@@ -673,17 +665,15 @@ let drain t =
   while step t do
     ()
   done;
-  let completed = ref 0 and failed = ref 0 in
-  List.iter
-    (fun id ->
-      match (job t id).j_status with
-      | Completed -> incr completed
-      | Failed _ -> incr failed
-      | _ -> ())
-    t.order;
+  let count p =
+    List.length (List.filter (fun id -> p (job t id).j_status) t.order)
+  in
   { d_rounds = Jobqueue.round t.queue - r0;
-    d_completed = !completed;
-    d_failed = !failed;
+    d_completed = count (( = ) Completed);
+    d_failed = count (function Failed _ -> true | _ -> false);
+    d_no_seed = count (( = ) No_seed);
+    d_cancelled = count (( = ) Cancelled);
+    d_timed_out = count (( = ) Timed_out);
     d_crashes = Triage.total t.triage_store;
     d_buckets = Triage.count t.triage_store;
     d_corpus = Corpus.count t.corpus_store;

@@ -3,11 +3,12 @@
     Jobs ({!Jobspec.t}) enter a {!Jobqueue} and are executed in
     deficit-round-robin quanta over isolated per-job universes (built
     with {!Iris_orchestrator.boot_universe}); each scheduling round
-    dispatches up to [jobs] runnable jobs onto their own OCaml
-    domains.  Completed campaigns feed the {!Corpus} store, crashes
-    feed {!Triage} (auto-minimized through {!Iris_inspect.Bisect}),
-    per-job telemetry hubs merge commutatively into the server hub,
-    and every round can stream a JSONL status snapshot.
+    runs up to [jobs] runnable jobs, one task each, on
+    {!Iris_orchestrator.Pool}.  Completed campaigns feed the {!Corpus}
+    store, crashes feed {!Triage} (auto-minimized through
+    {!Iris_inspect.Bisect}), per-job telemetry hubs merge commutatively
+    into the server hub, and every round can stream a JSONL status
+    snapshot.
 
     Determinism contract.  A case outcome is a pure function of
     (S_R, seed); cases run in index order within their job; jobs own
@@ -18,10 +19,10 @@
     orders.  The only scheduling-dependent surfaces are the status
     stream and jobs interrupted from outside (cancellation).
 
-    Worker panics are contained per case: the case records a
-    hypervisor-crash outcome, the job's universe is rebuilt and the
-    job backs off exponentially; a job exceeding the respawn budget
-    fails without taking the server down. *)
+    Worker panics are contained per case by the pool's [on_crash]:
+    the case records a hypervisor-crash outcome, the job's universe is
+    rebuilt and the job backs off exponentially; a job exceeding the
+    respawn budget fails without taking the server down. *)
 
 type status =
   | Queued
@@ -78,6 +79,10 @@ type drain_summary = {
   d_rounds : int;
   d_completed : int;
   d_failed : int;
+  d_no_seed : int;
+  d_cancelled : int;
+  d_timed_out : int;
+      (** the five terminal counts sum to the jobs submitted *)
   d_crashes : int;          (** crashing cases across completed jobs *)
   d_buckets : int;
   d_corpus : int;

@@ -88,6 +88,9 @@ let handle server = function
           [ ("rounds", J.Int d.Server.d_rounds);
             ("completed", J.Int d.Server.d_completed);
             ("failed", J.Int d.Server.d_failed);
+            ("no_seed", J.Int d.Server.d_no_seed);
+            ("cancelled", J.Int d.Server.d_cancelled);
+            ("timed_out", J.Int d.Server.d_timed_out);
             ("crashes", J.Int d.Server.d_crashes);
             ("buckets", J.Int d.Server.d_buckets);
             ("corpus", J.Int d.Server.d_corpus);

@@ -16,7 +16,8 @@ val create : ?trace_capacity:int -> unit -> t
 
 val merge_into : into:t -> t -> unit
 (** Merge this hub's registry into [into]'s (see
-    {!Registry.merge_into}).  Traces are per-hub and not merged. *)
+    {!Registry.merge_into}).  Traces are not merged here; see
+    {!Tracer.append}. *)
 
 val snapshot : t -> Registry.snapshot
 

@@ -91,6 +91,16 @@ let spans t =
   done;
   !out
 
+let append ~into src =
+  let closed = spans src in
+  let used =
+    List.fold_left (fun m s -> max m s.tid) (src.next_tid - 1) closed
+  in
+  let base = into.next_tid - 1 in
+  if into.on then
+    List.iter (fun s -> push into { s with tid = s.tid + base }) closed;
+  into.next_tid <- into.next_tid + used
+
 let recorded t = t.count
 
 let dropped t = t.evicted

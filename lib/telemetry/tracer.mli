@@ -53,6 +53,12 @@ val instant :
 val spans : t -> span list
 (** Closed spans, oldest first (ring order). *)
 
+val append : into:t -> t -> unit
+(** Copy the source's closed spans, oldest first, into [into], moving
+    their tracks past every track [into] has allocated (and reserving
+    the moved ones).  Appending per-worker tracers in a fixed order
+    gives a deterministic trace with separate rows per worker. *)
+
 val recorded : t -> int
 (** Closed spans currently retained. *)
 

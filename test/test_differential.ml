@@ -195,10 +195,7 @@ let recording =
 let test_unperturbed_sweep_zero_findings () =
   let recording = Lazy.force recording in
   let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let r = Dc.run_with ~replayer ~trace:recording.Manager.trace () in
+  let r = Iris_oracle.diff ~manager:m ~recording () in
   check Alcotest.int "total = trace length" 300 r.Dc.total;
   check Alcotest.int "no findings" 0 (List.length r.Dc.findings);
   check Alcotest.bool "a real comparable set" true (r.Dc.comparable > 100);
@@ -210,11 +207,8 @@ let test_planted_sweep_matches_ground_truth () =
   List.iter
     (fun plant ->
       let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
-      let replayer =
-        Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-      in
       let expected = Dc.expected_planted ~plant recording.Manager.trace in
-      let r = Dc.run_with ~plant ~replayer ~trace:recording.Manager.trace () in
+      let r = Iris_oracle.diff ~plant ~manager:m ~recording () in
       check
         Alcotest.(list int)
         (Machine.asymmetry_name plant)
@@ -236,10 +230,7 @@ let test_os_boot_mode_changes_survive () =
      crash-on-one false positives.  The segment walk must not. *)
   let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
   let recording = Manager.record m W.Os_boot ~exits:300 in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let r = Dc.run_with ~replayer ~trace:recording.Manager.trace () in
+  let r = Iris_oracle.diff ~manager:m ~recording () in
   check Alcotest.int "no findings" 0 (List.length r.Dc.findings);
   check Alcotest.bool "some cases comparable" true (r.Dc.comparable > 0)
 

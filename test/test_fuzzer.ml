@@ -3,7 +3,7 @@
 
 module Mutation = Iris_fuzzer.Mutation
 module Campaign = Iris_fuzzer.Campaign
-module Table1 = Iris_fuzzer.Table1
+module Table1 = Iris_orchestrator.Table1
 module Seed = Iris_core.Seed
 module Manager = Iris_core.Manager
 module F = Iris_vmcs.Field
@@ -224,16 +224,16 @@ let test_campaign_absent_reason () =
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   (* CPU-bound never halts. *)
   check Alcotest.bool "HLT absent" true
-    (Campaign.run ~config:(config 10) ~manager:m ~recording ~reason:R.Hlt
-       ~area:Mutation.Area_vmcs ()
+    (Iris_oracle.campaign ~config:(config 10) ~manager:m ~recording
+       ~reason:R.Hlt ~area:Mutation.Area_vmcs ()
     = None)
 
 let test_campaign_discovers_coverage () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:400 in
   match
-    Campaign.run ~config:(config 150) ~manager:m ~recording ~reason:R.Rdtsc
-      ~area:Mutation.Area_vmcs ()
+    Iris_oracle.campaign ~config:(config 150) ~manager:m ~recording
+      ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
   with
   | None -> Alcotest.fail "rdtsc seeds exist"
   | Some r ->
@@ -251,8 +251,8 @@ let test_campaign_finds_crashes () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:400 in
   match
-    Campaign.run ~config:(config 250) ~manager:m ~recording ~reason:R.Rdtsc
-      ~area:Mutation.Area_vmcs ()
+    Iris_oracle.campaign ~config:(config 250) ~manager:m ~recording
+      ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
   with
   | None -> Alcotest.fail "rdtsc seeds exist"
   | Some r ->
@@ -274,8 +274,8 @@ let test_campaign_gpr_mostly_harmless () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:400 in
   match
-    Campaign.run ~config:(config 200) ~manager:m ~recording ~reason:R.Rdtsc
-      ~area:Mutation.Area_gpr ()
+    Iris_oracle.campaign ~config:(config 200) ~manager:m ~recording
+      ~reason:R.Rdtsc ~area:Mutation.Area_gpr ()
   with
   | None -> Alcotest.fail "rdtsc seeds exist"
   | Some r ->
@@ -290,8 +290,8 @@ let test_campaign_deterministic () =
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let run () =
     match
-      Campaign.run ~config:(config 60) ~manager:m ~recording ~reason:R.Rdtsc
-        ~area:Mutation.Area_vmcs ()
+      Iris_oracle.campaign ~config:(config 60) ~manager:m ~recording
+        ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
     with
     | Some r ->
         (r.Campaign.fuzz_lines, r.Campaign.vm_crashes, r.Campaign.hv_crashes)
@@ -301,15 +301,16 @@ let test_campaign_deterministic () =
 
 let test_campaign_plan_finalize_equals_run () =
   (* The orchestrator's decomposition — plan (pure), execute each case,
-     finalize (pure ordered fold) — must reproduce [Campaign.run]
-     byte for byte: this is what makes the parallel merge exact. *)
+     finalize (pure ordered fold) — must reproduce the sequential COW
+     run byte for byte, whichever restore path the pieces take: this is
+     what makes the parallel merge exact. *)
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in
   let whole =
-    Campaign.run ~config:(config 60) ~manager:m ~recording ~reason:R.Rdtsc
-      ~area:Mutation.Area_vmcs ()
+    Iris_oracle.campaign ~config:(config 60) ~manager:m ~recording
+      ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
   in
   let pieces =
     match
@@ -461,7 +462,7 @@ let test_table1_small_run_and_stats () =
   let recordings =
     [ (W.Cpu_bound, Manager.record m W.Cpu_bound ~exits:300) ]
   in
-  let rows = Table1.run ~mutations:40 ~manager:m ~recordings () in
+  let rows = Table1.run ~mutations:40 ~recordings () in
   check Alcotest.int "one row per reason" 9 (List.length rows);
   (* RDTSC row must have live cells for CPU-bound; HLT must be
      absent. *)

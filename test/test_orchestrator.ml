@@ -9,7 +9,6 @@ module Pool = Iris_orchestrator.Pool
 module Orch = Iris_orchestrator.Orchestrator
 module Mutation = Iris_fuzzer.Mutation
 module Campaign = Iris_fuzzer.Campaign
-module Guided = Iris_fuzzer.Guided
 module Manager = Iris_core.Manager
 module F = Iris_vmcs.Field
 module Vmcb = Iris_svm.Vmcb
@@ -202,7 +201,7 @@ let test_fuzz_jobs_byte_identical () =
      the orchestrator's workers run on the COW rewind path — the
      merged report must be byte-identical anyway. *)
   let seq =
-    Campaign.run ~snapshot_mode:Campaign.Full_restore ~config:(config 80)
+    Iris_oracle.campaign ~mode:Campaign.Full_restore ~config:(config 80)
       ~manager:m ~recording ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
   in
   let orch jobs =
@@ -218,10 +217,30 @@ let test_fuzz_jobs_byte_identical () =
         (digest o1.Orch.fuzz_result);
       check Alcotest.string "jobs=4 = jobs=1" (digest o1.Orch.fuzz_result)
         (digest o4.Orch.fuzz_result);
-      (* Merged telemetry snapshots are byte-identical too. *)
+      (* Merged telemetry snapshots are byte-identical too, and every
+         case's COW rewind is counted at any job count. *)
       check Alcotest.string "merged telemetry identical"
         (digest (Hub.snapshot o1.Orch.fuzz_report.Orch.r_hub))
         (digest (Hub.snapshot o4.Orch.fuzz_report.Orch.r_hub));
+      let cases = o1.Orch.fuzz_result.Campaign.executed + 1 in
+      List.iter
+        (fun (o : Orch.fuzz_outcome) ->
+          match
+            List.assoc_opt "cow.reverts"
+              (Hub.snapshot o.Orch.fuzz_report.Orch.r_hub)
+          with
+          | Some (Registry.S_counter n) ->
+              check Alcotest.int "cow.reverts = cases" cases (Int64.to_int n)
+          | _ -> Alcotest.fail "cow.reverts missing from the merged hub")
+        [ o1; o4 ];
+      (* The workers' exit spans reach the merged hub at any job
+         count. *)
+      let spans (o : Orch.fuzz_outcome) =
+        Iris_telemetry.Tracer.recorded
+          o.Orch.fuzz_report.Orch.r_hub.Hub.tracer
+      in
+      check Alcotest.bool "case spans carried (jobs=1)" true (spans o1 > cases);
+      check Alcotest.int "case spans carried (jobs=4)" (spans o1) (spans o4);
       (* Worker accounting sanity. *)
       let rep = o4.Orch.fuzz_report in
       check Alcotest.int "4 workers" 4 (Array.length rep.Orch.r_workers);
@@ -255,36 +274,6 @@ let test_fuzz_absent_reason () =
        ~area:Mutation.Area_vmcs ()
     = None)
 
-let guided_config n =
-  { Guided.default_config with Guided.iterations = n; prng_seed = 5 }
-
-let test_guided_sweep_byte_identical () =
-  let m = mgr () in
-  let recording = Manager.record m W.Cpu_bound ~exits:300 in
-  (* HLT is absent from CPU-bound: its cell must come back None and
-     stay None for every job count. *)
-  let reasons = [| R.Rdtsc; R.Hlt; R.Cpuid |] in
-  let sweep jobs =
-    Orch.guided_sweep ~jobs ~config:(guided_config 120) ~recording ~reasons ()
-  in
-  let s1 = sweep 1 and s3 = sweep 3 in
-  check Alcotest.string "sweep results byte-identical (corpora included)"
-    (digest s1.Orch.sweep_results)
-    (digest s3.Orch.sweep_results);
-  (* And equal to the plain sequential runner, reason by reason. *)
-  let seq =
-    Guided.run ~config:(guided_config 120) ~manager:m ~recording
-      ~reason:R.Rdtsc
-  in
-  (match s1.Orch.sweep_results.(0) with
-  | r, res ->
-      check Alcotest.bool "reason preserved" true (r = R.Rdtsc);
-      check Alcotest.string "sequential guided = sweep cell" (digest seq)
-        (digest res));
-  match s1.Orch.sweep_results.(1) with
-  | _, None -> ()
-  | _, Some _ -> Alcotest.fail "HLT must be absent"
-
 let () =
   Alcotest.run "iris_orchestrator"
     [ ( "shard",
@@ -312,6 +301,5 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "fuzz jobs byte-identical" `Slow
             test_fuzz_jobs_byte_identical;
-          Alcotest.test_case "absent reason" `Slow test_fuzz_absent_reason;
-          Alcotest.test_case "guided sweep byte-identical" `Slow
-            test_guided_sweep_byte_identical ] ) ]
+          Alcotest.test_case "absent reason" `Slow test_fuzz_absent_reason ]
+      ) ]

@@ -286,9 +286,11 @@ let test_jobspec_key_content_derived () =
   Alcotest.(check bool) "distinct specs differ" false
     (Jobspec.key spec_a = Jobspec.key spec_b)
 
-(* Out-of-range numbers are rejected at the wire, naming the field,
-   instead of running a job that cannot be counted ([exits] <= 0 ends
-   [no-seed] with total -1) or that "completes" having done nothing. *)
+(* Out-of-range numbers and wrongly typed optional fields are rejected
+   at the wire, naming the field, instead of running a job that cannot
+   be counted ([exits] <= 0 ends [no-seed] with total -1), that
+   "completes" having done nothing, that times out before its first
+   case, or that silently runs with a default. *)
 let test_jobspec_rejects_out_of_range () =
   let with_field k v =
     match Jobspec.to_json spec_a with
@@ -298,6 +300,7 @@ let test_jobspec_rejects_out_of_range () =
   in
   let positive k = Printf.sprintf "jobspec: %S must be positive" k in
   let scale = "jobspec: \"boot_scale\" must be a positive finite number" in
+  let bad k = Printf.sprintf "jobspec: bad %S" k in
   List.iter
     (fun (k, v, want) ->
       check
@@ -312,7 +315,15 @@ let test_jobspec_rejects_out_of_range () =
       ("boot_scale", J.Float (-1.0), scale);
       ("boot_scale", J.Float 0.0, scale);
       ("boot_scale", J.Float Float.infinity, scale);
-      ("boot_scale", J.Float Float.nan, scale) ];
+      ("boot_scale", J.Float Float.nan, scale);
+      ("timeout_cycles", J.Int (-7), positive "timeout_cycles");
+      ("timeout_cycles", J.Int 0, positive "timeout_cycles");
+      ("priority", J.Int (-5), positive "priority");
+      ("priority", J.Int 0, positive "priority");
+      ("tenant", J.Int 3, bad "tenant");
+      ("priority", J.String "high", bad "priority");
+      ("boot_scale", J.String "big", bad "boot_scale");
+      ("timeout_cycles", J.Float 1.5, bad "timeout_cycles") ];
   match Jobspec.of_json (Jobspec.to_json spec_a) with
   | Ok s ->
       check Alcotest.string "valid spec still parses" (Jobspec.key spec_a)
@@ -387,6 +398,48 @@ let test_server_replay_from_corpus () =
     "distillation preserved live coverage"
     (Array.to_list cov_before)
     (Array.to_list (Corpus.coverage (Server.corpus server)))
+
+(* Every job of a drained queue ends in exactly one terminal status,
+   and the drain summary and its wire response count each of them. *)
+let test_drain_counts_every_outcome () =
+  let server = Server.create ~jobs:2 ~quantum:24 ~recordings:shared_cache () in
+  let with_ ?timeout_cycles ~tenant ~reason () =
+    Jobspec.make ~tenant ~boot_scale:0.02 ?timeout_cycles ~workload:W.Cpu_bound
+      ~exits:300 ~reason ~area:Mutation.Area_gpr ~mutations:40 ~prng_seed:21
+      ()
+  in
+  let submit spec = Server.submit server spec in
+  ignore (submit (with_ ~tenant:"done" ~reason:R.Rdtsc ()) : int);
+  (* CPU-bound never halts *)
+  ignore (submit (with_ ~tenant:"none" ~reason:R.Hlt ()) : int);
+  let doomed = submit (with_ ~tenant:"gone" ~reason:R.Rdtsc ()) in
+  ignore
+    (submit (with_ ~timeout_cycles:1L ~tenant:"slow" ~reason:R.Rdtsc ())
+      : int);
+  Alcotest.(check bool) "cancelled" true (Server.cancel server doomed);
+  let line, _ = Wire.handle_line server {|{"cmd":"drain"}|} in
+  let r =
+    match J.of_string line with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "drain response is not JSON: %s" e
+  in
+  let field k = Option.bind (J.member k r) J.int_value in
+  let counts =
+    List.map field
+      [ "completed"; "failed"; "no_seed"; "cancelled"; "timed_out" ]
+  in
+  check
+    Alcotest.(list (option int))
+    "one job of each reachable outcome"
+    (List.map Option.some [ 1; 0; 1; 1; 1 ])
+    counts;
+  check Alcotest.int "counts sum to the jobs submitted"
+    (List.length (Server.job_infos server))
+    (List.fold_left (fun a c -> a + Option.value c ~default:0) 0 counts);
+  let d = Server.drain server in
+  check Alcotest.int "summary sums to the jobs submitted" 4
+    (d.Server.d_completed + d.Server.d_failed + d.Server.d_no_seed
+   + d.Server.d_cancelled + d.Server.d_timed_out)
 
 let test_wire_pipe_session () =
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
@@ -484,8 +537,9 @@ let () =
             test_server_report_schedule_independent;
           Alcotest.test_case "replay-from-corpus byte-identity" `Slow
             test_server_replay_from_corpus;
-          Alcotest.test_case "wire pipe session" `Slow test_wire_pipe_session
-        ] );
+          Alcotest.test_case "wire pipe session" `Slow test_wire_pipe_session;
+          Alcotest.test_case "drain counts every outcome" `Slow
+            test_drain_counts_every_outcome ] );
       ( "provenance",
         [ Alcotest.test_case "device touches" `Slow test_provenance_devices ]
       ) ]

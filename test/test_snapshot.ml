@@ -316,8 +316,8 @@ let test_campaign_modes_byte_identical () =
   let run mode =
     let m = mgr () in
     let recording = Manager.record m W.Cpu_bound ~exits:300 in
-    Campaign.run ~snapshot_mode:mode ~config:(config 120) ~manager:m
-      ~recording ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
+    Iris_oracle.campaign ~mode ~config:(config 120) ~manager:m ~recording
+      ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
   in
   match (run Campaign.Full_restore, run Campaign.Cow) with
   | Some f, Some c ->

@@ -117,6 +117,27 @@ let test_nesting_depth () =
   check Alcotest.int "outer depth" 0 outer.T.Tracer.depth;
   check Alcotest.int64 "inner duration" 10L inner.T.Tracer.dur
 
+let test_append_moves_tracks () =
+  let span tr ~tid name =
+    T.Tracer.begin_span tr ~tid ~name ~ts:0L;
+    T.Tracer.end_span tr ~ts:1L
+  in
+  let into = T.Tracer.create () in
+  span into ~tid:(T.Tracer.alloc_tid into) "record";
+  let worker () =
+    let tr = T.Tracer.create () in
+    span tr ~tid:(T.Tracer.alloc_tid tr) "case";
+    tr
+  in
+  T.Tracer.append ~into (worker ());
+  T.Tracer.append ~into (worker ());
+  Alcotest.(check (list (pair string int)))
+    "workers on fresh tracks, in append order"
+    [ ("record", 1); ("case", 2); ("case", 3) ]
+    (List.map (fun s -> (s.T.Tracer.name, s.T.Tracer.tid))
+       (T.Tracer.spans into));
+  check Alcotest.int "moved tracks reserved" 4 (T.Tracer.alloc_tid into)
+
 (* --- JSON --- *)
 
 let test_json_roundtrip () =
@@ -311,7 +332,9 @@ let () =
         [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "unbalanced end dropped" `Quick
             test_unbalanced_end_dropped;
-          Alcotest.test_case "nesting depth" `Quick test_nesting_depth ] );
+          Alcotest.test_case "nesting depth" `Quick test_nesting_depth;
+          Alcotest.test_case "append moves tracks" `Quick
+            test_append_moves_tracks ] );
       ( "export",
         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "chrome trace well-formed" `Quick
